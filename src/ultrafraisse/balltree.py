@@ -37,6 +37,8 @@ class BallTree:
         for a, par in enumerate(self.parents):
             chains.append({b: chains[a][par(b)] + (b,) for b in self.levels[a + 1].points})
         object.__setattr__(self, "_chains", tuple(chains))
+        # _below[(beta, level)][ball] = the level-beta balls inside the ball, filled on demand
+        object.__setattr__(self, "_below", {})
 
     @property
     def depth(self) -> int:
@@ -67,9 +69,13 @@ class BallTree:
         """Balls at level `beta` >= `level` contained in the given ball."""
         if not 0 <= level <= beta <= self.depth:
             raise ValueError(f"bad descendant request ({level}, {beta})")
-        return tuple(
-            b for b in self.levels[beta].points if self._chains[beta][b][level] == label
-        )
+        table = self._below.get((beta, level))
+        if table is None:
+            groups: dict[str, list[str]] = {}
+            for b, chain in self._chains[beta].items():
+                groups.setdefault(chain[level], []).append(b)
+            table = self._below[beta, level] = {k: tuple(v) for k, v in groups.items()}
+        return table.get(label, ())
 
     def leafset(self, level: int, label: str) -> frozenset[str]:
         return frozenset(self.descendants(level, label, self.depth))

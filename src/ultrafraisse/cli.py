@@ -319,6 +319,12 @@ def _assemble_sliced(checks: list[Check], payload: dict, space) -> SlicedSequenc
 def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
     space = serial.tree_from_json(payload.get("space"), name="certificate space")
+    tasks, probes = payload.get("tasks", []), payload.get("probes", [])
+    for key, entries in (("tasks", tasks), ("probes", probes)):
+        serial.require(
+            isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+            f"{key} must be a list of objects",
+        )
     sliced = _assemble_sliced(checks, payload, space)
     if sliced is None:
         return checks
@@ -349,10 +355,11 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     else:
         checks.append(("witness matches the exhaustive search", "skipped (bound)", f"cost {cost}"))
 
-    for i, entry in enumerate(payload.get("tasks", [])):
+    top = sliced.seq.length
+    for i, entry in enumerate(tasks):
         def task_check(entry=entry):
-            target = FiniteSpace(id=f"task{i}", points=tuple(entry["source_points"]))
-            level = entry["source_level"]
+            target = FiniteSpace(id=f"task{i}", points=_labels_field(entry, "source_points"))
+            level = _index_field(entry, "source_level", space.depth)
             src_obj = SliceObject(
                 base=space,
                 level=level,
@@ -361,13 +368,13 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
                     entry["source_map"], space.levels[level], target, "task source", surjective=False
                 ),
             )
-            stage = entry["stage"]
+            stage = _index_field(entry, "stage", top)
             arrow = SliceArrow(
                 src_obj,
                 sliced.phis[stage],
                 serial.map_from_json(entry["arrow_map"], target, sliced.seq.spaces[stage], "task arrow"),
             )
-            beta = entry["witness_beta"]
+            beta = _index_field(entry, "witness_beta", top)
             witness_map = serial.map_from_json(
                 entry["witness_map"], sliced.seq.spaces[beta], target, "task witness"
             )
@@ -376,10 +383,10 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
                 raise ValueError(f"bonding({stage},{beta}) is not arrow o witness")
         _check(checks, f"task {entry.get('tag', i)} absorption witness", task_check)
 
-    for i, entry in enumerate(payload.get("probes", [])):
+    for i, entry in enumerate(probes):
         def probe_check(entry=entry):
-            target = FiniteSpace(id=f"probe{i}", points=tuple(entry["target_points"]))
-            level = entry["level"]
+            target = FiniteSpace(id=f"probe{i}", points=_labels_field(entry, "target_points"))
+            level = _index_field(entry, "level", space.depth)
             probe = SliceObject(
                 base=space,
                 level=level,
@@ -388,7 +395,7 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
                     entry["target_map"], space.levels[level], target, "probe", surjective=False
                 ),
             )
-            stage = entry["witness_stage"]
+            stage = _index_field(entry, "witness_stage", top)
             witness_map = serial.map_from_json(
                 entry["witness_map"], sliced.seq.spaces[stage], target, "probe witness"
             )
@@ -437,6 +444,12 @@ def _verify_extension(payload: dict, bounds: int) -> list[Check]:
 def _verify_retraction(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
     space = serial.tree_from_json(payload.get("space"), name="certificate space")
+    tasks, probes = payload.get("tasks", []), payload.get("probes", [])
+    for key, entries in (("tasks", tasks), ("probes", probes)):
+        serial.require(
+            isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+            f"{key} must be a list of objects",
+        )
     sliced = _assemble_sliced(checks, payload, space)
     if sliced is None:
         return checks
@@ -588,6 +601,22 @@ def _verify_lift(payload: dict, bounds: int) -> list[Check]:
 def _raise_unless(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _index_field(entry: dict, key: str, top: int) -> int:
+    """entry[key] as an int in [0, top]; ValueError (a FAIL line) otherwise."""
+    value = entry[key]
+    if type(value) is not int or not 0 <= value <= top:
+        raise ValueError(f"{key} {value!r} is not an integer in [0, {top}]")
+    return value
+
+
+def _labels_field(entry: dict, key: str) -> tuple[str, ...]:
+    """entry[key] as a tuple of labels; ValueError (a FAIL line) otherwise."""
+    value = entry[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{key} must be a list of labels")
+    return tuple(value)
 
 
 def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:

@@ -515,7 +515,7 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
     for w in ambient.points:
         best = max(
             base.points,
-            key=lambda x: (u_metric(ambient, w, pres.eta_point(x)), -base.points.index(x)),
+            key=lambda x: (u_metric(ambient, w, pres.eta_point(x)), -base.levels[-1].index(x)),
         )
         nearest[w] = best
     reindex = []

@@ -21,8 +21,11 @@ class FiniteSpace:
     def __post_init__(self):
         if not self.points:
             raise ValueError(f"space {self.id!r} has no points")
-        if len(set(self.points)) != len(self.points):
+        # label -> position, built once; equality and hashing still use the fields
+        positions = {label: i for i, label in enumerate(self.points)}
+        if len(positions) != len(self.points):
             raise ValueError(f"space {self.id!r} has duplicate point labels")
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -31,19 +34,22 @@ class FiniteSpace:
         return iter(self.points)
 
     def __contains__(self, label: str) -> bool:
-        return label in self.points
+        try:
+            return label in self._positions
+        except TypeError:  # an unhashable value from malformed input is not a point
+            return False
 
     def index(self, label: str) -> int:
         try:
-            return self.points.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):
             raise ValueError(f"{label!r} is not a point of {self.id!r}") from None
 
 
 class PointMap:
     """A total map between finite spaces; not necessarily onto."""
 
-    __slots__ = ("dom", "cod", "mapping")
+    __slots__ = ("dom", "cod", "mapping", "_fibers")
 
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, mapping: Mapping[str, str]):
         missing = [p for p in dom.points if p not in mapping]
@@ -58,6 +64,7 @@ class PointMap:
         self.dom = dom
         self.cod = cod
         self.mapping = dict(mapping)
+        self._fibers: dict[str, tuple[str, ...]] | None = None
 
     def __call__(self, point: str) -> str:
         return self.mapping[point]
@@ -78,7 +85,12 @@ class PointMap:
 
     def fiber(self, value: str) -> tuple[str, ...]:
         """Preimage of one codomain point, in domain order."""
-        return tuple(p for p in self.dom.points if self.mapping[p] == value)
+        if self._fibers is None:
+            fibers: dict[str, list[str]] = {}
+            for p in self.dom.points:
+                fibers.setdefault(self.mapping[p], []).append(p)
+            self._fibers = {q: tuple(ps) for q, ps in fibers.items()}
+        return self._fibers.get(value, ())
 
     def image(self) -> tuple[str, ...]:
         """Values actually attained, in codomain order."""

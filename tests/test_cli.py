@@ -266,3 +266,35 @@ def test_bad_padding_parameters_exit_4(k4_path):
 
 def test_split_of_unknown_point_exits_4(k4_path):
     assert run("embed", k4_path, "--split", "1:zz") == 4
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        (lambda c: c["tasks"][0].update(stage=99), 1),
+        (lambda c: c["tasks"][0].update(stage="1"), 1),
+        (lambda c: c["tasks"][0].update(witness_beta=99), 1),
+        (lambda c: c["tasks"][0].update(source_level=-1), 1),
+        (lambda c: c["tasks"][0].update(source_points=5), 1),
+        (lambda c: c.update(tasks=5), 2),
+        (lambda c: c.update(probes=[5]), 2),
+    ],
+    ids=["stage-99", "stage-str", "witness-beta-99", "source-level-negative",
+         "source-points-int", "tasks-int", "probe-int"],
+)
+def test_malformed_task_fields_fail_without_traceback(tmp_path, k4_path, mutate, code, capsys):
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--depth", "4", "--split", "1:p0", "--out", out) == 0
+    cert = json.loads(out.read_text())
+    mutate(cert)
+    cert["integrity"] = serial.content_digest(cert)
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", mutated) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+        assert fails and all("absorption witness" in line for line in fails)
+    else:
+        assert "parse error" in captured.err
