@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .balltree import (
@@ -83,10 +83,6 @@ def _read_json(path: str):
         ) from None
 
 
-def _schedule(config: RunConfig) -> PaddingSchedule:
-    return PaddingSchedule(config.pad_base, config.pad_growth)
-
-
 def _task_schedule(config: RunConfig) -> TaskSchedule:
     entries = []
     for spec_text in config.splits:
@@ -127,21 +123,14 @@ def _canonical_probes(tree) -> list[SliceObject]:
     return probes
 
 
-def _eta_json(pres: GenericPresentation) -> dict:
-    return {x: list(t.entries) for x, t in pres.eta.items()}
-
-
-def _embed_payload(config: RunConfig, tree) -> dict:
-    schedule = _schedule(config)
-    tasks = _task_schedule(config)
-    pres = embed_generic(tree, config.depth, schedule, tasks)
-    probes = _canonical_probes(tree)
-    task_list = [t for _, t in pres.build.tasks]
-    report = verify_fraisse(pres.sliced, task_list, probes, bound=config.bounds)
-    if not report.ok:
-        raise RuntimeError("engine bug: freshly built sequence failed its own certification")
-    payload = {
-        "kind": "embedding-certificate",
+def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
+    """Embed the input tree, and state the embedding as the presentation
+    section (params, space, sequence, ambient, eta) that embedding and
+    retraction certificates share."""
+    tree = serial.tree_from_json(_read_json(config.inputs[0]), name=config.inputs[0])
+    schedule = PaddingSchedule(config.pad_base, config.pad_growth)
+    pres = embed_generic(tree, config.depth, schedule, _task_schedule(config))
+    section = {
         "params": {
             "depth": config.depth,
             "pad_base": config.pad_base,
@@ -152,7 +141,21 @@ def _embed_payload(config: RunConfig, tree) -> dict:
         "space": serial.tree_to_json(tree),
         "sequence": serial.sliced_to_json(pres.sliced),
         "ambient": serial.tree_to_json(pres.ambient),
-        "eta": _eta_json(pres),
+        "eta": {x: list(t.entries) for x, t in pres.eta.items()},
+    }
+    return pres, section
+
+
+def cmd_embed(config: RunConfig) -> dict:
+    pres, section = _presentation(config)
+    probes = _canonical_probes(pres.space)
+    task_list = [t for _, t in pres.build.tasks]
+    report = verify_fraisse(pres.sliced, task_list, probes, bound=config.bounds)
+    if not report.ok:
+        raise RuntimeError("engine bug: freshly built sequence failed its own certification")
+    payload = {
+        "kind": "embedding-certificate",
+        **section,
         "witness": serial.witness_to_json(pres.witness),
         "tasks": [
             {
@@ -183,40 +186,22 @@ def _embed_payload(config: RunConfig, tree) -> dict:
     return payload
 
 
-def cmd_embed(config: RunConfig) -> dict:
-    tree = serial.tree_from_json(_read_json(config.inputs[0]), name=config.inputs[0])
-    return _embed_payload(config, tree)
-
-
 def cmd_extend(config: RunConfig) -> dict:
     data = _read_json(config.inputs[0])
     serial.require(isinstance(data, dict), "extend input: expected an object")
     ambient = serial.tree_from_json(data.get("ambient"), name="extend input ambient")
-    src_points = data.get("src")
-    dst_points = data.get("dst")
-    mapping = data.get("map")
-    serial.require(
-        isinstance(src_points, list) and all(isinstance(x, str) for x in src_points),
-        "extend input: 'src' must be a list of points",
-    )
-    serial.require(
-        isinstance(dst_points, list) and all(isinstance(x, str) for x in dst_points),
-        "extend input: 'dst' must be a list of points",
-    )
-    serial.require(
-        isinstance(mapping, dict)
-        and all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()),
-        "extend input: 'map' must be a label-to-label object",
-    )
+    src_points = serial.label_list(data.get("src"), "extend input: 'src'")
+    dst_points = serial.label_list(data.get("dst"), "extend input: 'dst'")
+    mapping = serial.label_map(data.get("map"), "extend input: 'map'")
     src_pres = presentation_from_subset(ambient, src_points)
     dst_pres = presentation_from_subset(ambient, dst_points)
-    auto = extend_homeo(PartialHomeo(src_pres, dst_pres, dict(mapping)))
+    auto = extend_homeo(PartialHomeo(src_pres, dst_pres, mapping))
     payload = {
         "kind": "extension-certificate",
         "ambient": serial.tree_to_json(ambient),
         "src_points": list(src_points),
         "dst_points": list(dst_points),
-        "mapping": dict(mapping),
+        "mapping": mapping,
         "levels": [
             {"level": level, "map": dict(table)} for level, table in enumerate(auto.level_maps)
         ],
@@ -226,23 +211,11 @@ def cmd_extend(config: RunConfig) -> dict:
 
 
 def cmd_retract(config: RunConfig) -> dict:
-    tree = serial.tree_from_json(_read_json(config.inputs[0]), name=config.inputs[0])
-    schedule = _schedule(config)
-    pres = embed_generic(tree, config.depth, schedule, _task_schedule(config))
+    pres, section = _presentation(config)
     arrow = retract_onto(pres)
     payload = {
         "kind": "retraction-certificate",
-        "params": {
-            "depth": config.depth,
-            "pad_base": config.pad_base,
-            "pad_growth": config.pad_growth,
-            "seed_label": config.seed_label,
-            "splits": list(config.splits),
-        },
-        "space": serial.tree_to_json(tree),
-        "sequence": serial.sliced_to_json(pres.sliced),
-        "ambient": serial.tree_to_json(pres.ambient),
-        "eta": _eta_json(pres),
+        **section,
         "reindex": list(arrow.reindex),
         "maps": [dict(m.mapping) for m in arrow.maps],
         "table": retraction_table(pres, arrow),
@@ -264,7 +237,39 @@ def _check(checks: list[Check], name: str, fn) -> bool:
     return True
 
 
-def _recheck_eta(checks: list[Check], pres_space, sliced, ambient, eta_raw) -> dict[str, Thread]:
+def _verify_presentation(checks: list[Check], payload: dict):
+    """Re-check the presentation section of an embedding or retraction
+    certificate: the sequence, then the stated ambient tree and eta table
+    against it.  Returns (space, sliced, ambient, eta), or None once the
+    sequence checks fail."""
+    space = serial.tree_from_json(payload.get("space"), name="certificate space")
+    spaces, steps, phis = serial.sliced_parts_from_json(
+        payload.get("sequence"), space, name="certificate sequence"
+    )
+    holder: dict[str, SlicedSequence] = {}
+
+    def assemble():
+        holder["sliced"] = SlicedSequence(InverseSequence(spaces, steps), phis)
+
+    if not _check(checks, "sequence wiring and slice compatibility", assemble):
+        return None
+    sliced = holder["sliced"]
+    report = check_coherent(sliced.seq)
+    if not _check(
+        checks,
+        "sequence is coherent with surjective steps",
+        lambda: _raise_unless(report.ok, "; ".join(report.issues[:3])),
+    ):
+        return None
+
+    ambient_stated = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
+    ambient = from_sequence(sliced.seq)
+    _check(
+        checks,
+        "ambient tree equals the rebuilt sequence tree",
+        lambda: _raise_unless(serial.trees_equal(ambient, ambient_stated), "trees differ"),
+    )
+    eta_raw = payload.get("eta", {})
     serial.require(
         isinstance(eta_raw, dict)
         and all(
@@ -277,7 +282,7 @@ def _recheck_eta(checks: list[Check], pres_space, sliced, ambient, eta_raw) -> d
     eta: dict[str, Thread] = {}
 
     def run():
-        if set(eta_raw) != set(pres_space.points):
+        if set(eta_raw) != set(space.points):
             raise ValueError("eta table does not cover exactly the base points")
         root = ambient.levels[0].points[0]
         for x, entries in eta_raw.items():
@@ -292,50 +297,21 @@ def _recheck_eta(checks: list[Check], pres_space, sliced, ambient, eta_raw) -> d
             raise ValueError("eta table is not injective")
 
     _check(checks, "eta table matches the sequence and is injective", run)
-    return eta
-
-
-def _assemble_sliced(checks: list[Check], payload: dict, space) -> SlicedSequence | None:
-    spaces, steps, phis = serial.sliced_parts_from_json(
-        payload.get("sequence"), space, name="certificate sequence"
-    )
-    holder: dict[str, SlicedSequence] = {}
-
-    def assemble():
-        holder["sliced"] = SlicedSequence(InverseSequence(spaces, steps), phis)
-
-    if not _check(checks, "sequence wiring and slice compatibility", assemble):
-        return None
-    sliced = holder["sliced"]
-    report = check_coherent(sliced.seq)
-    ok = _check(
-        checks,
-        "sequence is coherent with surjective steps",
-        lambda: _raise_unless(report.ok, "; ".join(report.issues[:3])),
-    )
-    return sliced if ok else None
+    return space, sliced, ambient, eta
 
 
 def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
-    space = serial.tree_from_json(payload.get("space"), name="certificate space")
     tasks, probes = payload.get("tasks", []), payload.get("probes", [])
     for key, entries in (("tasks", tasks), ("probes", probes)):
         serial.require(
             isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
             f"{key} must be a list of objects",
         )
-    sliced = _assemble_sliced(checks, payload, space)
-    if sliced is None:
+    presented = _verify_presentation(checks, payload)
+    if presented is None:
         return checks
-    ambient_stated = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
-    ambient = from_sequence(sliced.seq)
-    _check(
-        checks,
-        "ambient tree equals the rebuilt sequence tree",
-        lambda: _raise_unless(serial.trees_equal(ambient, ambient_stated), "trees differ"),
-    )
-    eta = _recheck_eta(checks, space, sliced, ambient, payload.get("eta", {}))
+    space, sliced, ambient, eta = presented
     image = [t.entries[-1] for t in eta.values()]
 
     witness = serial.witness_from_json(payload.get("witness"))
@@ -358,7 +334,8 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     top = sliced.seq.length
     for i, entry in enumerate(tasks):
         def task_check(entry=entry):
-            target = FiniteSpace(id=f"task{i}", points=_labels_field(entry, "source_points"))
+            points = serial.label_list(entry["source_points"], "source_points")
+            target = FiniteSpace(id=f"task{i}", points=points)
             level = _index_field(entry, "source_level", space.depth)
             src_obj = SliceObject(
                 base=space,
@@ -385,7 +362,8 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
 
     for i, entry in enumerate(probes):
         def probe_check(entry=entry):
-            target = FiniteSpace(id=f"probe{i}", points=_labels_field(entry, "target_points"))
+            points = serial.label_list(entry["target_points"], "target_points")
+            target = FiniteSpace(id=f"probe{i}", points=points)
             level = _index_field(entry, "level", space.depth)
             probe = SliceObject(
                 base=space,
@@ -407,12 +385,23 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
 def _verify_extension(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
     ambient = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
-    src = presentation_from_subset(ambient, payload.get("src_points", []))
-    dst = presentation_from_subset(ambient, payload.get("dst_points", []))
-    mapping = payload.get("mapping", {})
+    src = presentation_from_subset(
+        ambient, serial.label_list(payload.get("src_points", []), "certificate src_points")
+    )
+    dst = presentation_from_subset(
+        ambient, serial.label_list(payload.get("dst_points", []), "certificate dst_points")
+    )
+    mapping = serial.label_map(payload.get("mapping", {}), "certificate mapping")
     levels = payload.get("levels", [])
-    serial.require(isinstance(levels, list) and len(levels) == ambient.depth + 1, "levels malformed")
-    tables = [entry.get("map", {}) for entry in levels]
+    serial.require(
+        isinstance(levels, list)
+        and len(levels) == ambient.depth + 1
+        and all(isinstance(entry, dict) for entry in levels),
+        "levels malformed",
+    )
+    tables = [
+        serial.label_map(entry.get("map", {}), f"level {i} map") for i, entry in enumerate(levels)
+    ]
 
     def bijections():
         for level, table in enumerate(tables):
@@ -443,35 +432,25 @@ def _verify_extension(payload: dict, bounds: int) -> list[Check]:
 
 def _verify_retraction(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
-    space = serial.tree_from_json(payload.get("space"), name="certificate space")
-    tasks, probes = payload.get("tasks", []), payload.get("probes", [])
-    for key, entries in (("tasks", tasks), ("probes", probes)):
-        serial.require(
-            isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-            f"{key} must be a list of objects",
-        )
-    sliced = _assemble_sliced(checks, payload, space)
-    if sliced is None:
+    presented = _verify_presentation(checks, payload)
+    if presented is None:
         return checks
-    ambient = from_sequence(sliced.seq)
-    _check(
-        checks,
-        "ambient tree equals the rebuilt sequence tree",
-        lambda: _raise_unless(
-            serial.trees_equal(ambient, serial.tree_from_json(payload.get("ambient"))), "trees differ"
-        ),
-    )
-    eta = _recheck_eta(checks, space, sliced, ambient, payload.get("eta", {}))
+    space, sliced, ambient, eta = presented
 
     reindex = payload.get("reindex", [])
     maps_raw = payload.get("maps", [])
-    table = payload.get("table", {})
+    serial.require(isinstance(maps_raw, list), "retraction maps must be a list")
+    table = serial.label_map(payload.get("table", {}), "retraction table")
     holder: dict[str, SequenceArrow] = {}
 
     def arrow_check():
         serial.require(
-            isinstance(reindex, list) and len(reindex) == space.depth + 1, "reindex malformed"
+            isinstance(reindex, list)
+            and len(reindex) == space.depth + 1
+            and all(type(r) is int and 0 <= r <= ambient.depth for r in reindex),
+            "reindex malformed",
         )
+        serial.require(len(maps_raw) == len(reindex), "need one retraction map per reindex entry")
         maps = tuple(
             serial.map_from_json(m, ambient.levels[reindex[i]], space.levels[i], f"retract map {i}")
             for i, m in enumerate(maps_raw)
@@ -535,15 +514,28 @@ def lift_certificate_payload(pres, f: Surjection, b: dict, g: dict, result) -> d
 def _verify_lift(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
     ambient = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
-    pres = presentation_from_subset(ambient, payload.get("subset", []))
-    y_space = FiniteSpace("Y", tuple(payload.get("f_source", ())))
-    x_space = FiniteSpace("X", tuple(payload.get("f_target", ())))
+    pres = presentation_from_subset(
+        ambient, serial.label_list(payload.get("subset", []), "lift subset")
+    )
+    y_points = serial.label_list(payload.get("f_source"), "lift f_source")
+    x_points = serial.label_list(payload.get("f_target"), "lift f_target")
+    try:
+        y_space, x_space = FiniteSpace("Y", y_points), FiniteSpace("X", x_points)
+    except ValueError as exc:
+        raise SchemaError(f"lift arrow: {exc}") from None
     f = serial.map_from_json(payload.get("f"), y_space, x_space, "lift arrow")
-    b = payload.get("b", {})
-    g = payload.get("g", {})
+    b = serial.label_map(payload.get("b", {}), "lift b")
+    g = serial.label_map(payload.get("g", {}), "lift g")
     beta = payload.get("beta")
     serial.require(isinstance(beta, int) and 0 < beta <= ambient.depth, "bad lift level")
-    table = payload.get("ball_table", {})
+    table = serial.label_map(payload.get("ball_table", {}), "lift ball_table")
+
+    def family(key: str) -> dict[str, tuple[str, ...]]:
+        raw = payload.get(key, {})
+        serial.require(isinstance(raw, dict), f"lift {key} must be an object")
+        return {y: serial.label_list(v, f"lift {key} {y!r}") for y, v in raw.items()}
+
+    avoid, image = family("avoid_families"), family("image_families")
 
     def square():
         for x in pres.space.points:
@@ -570,12 +562,10 @@ def _verify_lift(payload: dict, bounds: int) -> list[Check]:
     _check(checks, "lift equations hold pointwise", equations)
 
     def families():
-        avoid = payload.get("avoid_families", {})
-        image = payload.get("image_families", {})
         seen: set[str] = set()
-        marked = {t.entries[beta] for t in pres.eta.values()}
+        marked = pres.holders(beta)
         for y in y_space.points:
-            for label in avoid.get(y, []):
+            for label in avoid.get(y, ()):
                 if label in seen:
                     raise ValueError(f"ball {label!r} assigned twice")
                 seen.add(label)
@@ -583,7 +573,7 @@ def _verify_lift(payload: dict, bounds: int) -> list[Check]:
                     raise ValueError(f"avoid ball {label!r} meets the embedded image")
                 if table.get(label) != y:
                     raise ValueError(f"avoid ball {label!r} not routed to {y!r}")
-            for label in image.get(y, []):
+            for label in image.get(y, ()):
                 if label in seen:
                     raise ValueError(f"ball {label!r} assigned twice")
                 seen.add(label)
@@ -611,14 +601,6 @@ def _index_field(entry: dict, key: str, top: int) -> int:
     return value
 
 
-def _labels_field(entry: dict, key: str) -> tuple[str, ...]:
-    """entry[key] as a tuple of labels; ValueError (a FAIL line) otherwise."""
-    value = entry[key]
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ValueError(f"{key} must be a list of labels")
-    return tuple(value)
-
-
 def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
     payload = _read_json(config.inputs[0])
     serial.require(isinstance(payload, dict), "certificate must be a JSON object")
@@ -637,7 +619,7 @@ def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
         "retraction-certificate": _verify_retraction,
         "lift-certificate": _verify_lift,
     }
-    if kind not in verifiers:
+    if not isinstance(kind, str) or kind not in verifiers:
         raise SchemaError(f"unknown certificate kind {kind!r}")
     try:
         checks += verifiers[kind](payload, config.bounds)
@@ -678,15 +660,11 @@ def cmd_demo(config: RunConfig) -> int:
     binary_path = out_dir / "binary3.json"
     binary_path.write_text(serial.dumps(serial.tree_to_json(binary_tree(3))))
 
-    embed_cfg = RunConfig(
+    embed_cfg = replace(
+        config,
         command="embed",
         inputs=(str(k4_path),),
-        depth=config.depth,
-        pad_base=config.pad_base,
-        pad_growth=config.pad_growth,
-        bounds=config.bounds,
         out=str(out_dir / "k4-embedding.json"),
-        seed_label=config.seed_label,
         splits=("1:p0", "2:00"),
     )
     _emit(embed_cfg, cmd_embed(embed_cfg), "embedding certificate")
@@ -699,31 +677,22 @@ def cmd_demo(config: RunConfig) -> int:
     }
     extend_in_path = out_dir / "swap-input.json"
     extend_in_path.write_text(serial.dumps(extend_input))
-    extend_cfg = RunConfig(
+    extend_cfg = replace(
+        config,
         command="extend",
         inputs=(str(extend_in_path),),
         out=str(out_dir / "swap-extension.json"),
-        bounds=config.bounds,
     )
     _emit(extend_cfg, cmd_extend(extend_cfg), "extension certificate")
 
-    retract_cfg = RunConfig(
-        command="retract",
-        inputs=(str(k4_path),),
-        depth=config.depth,
-        pad_base=config.pad_base,
-        pad_growth=config.pad_growth,
-        bounds=config.bounds,
-        out=str(out_dir / "k4-retraction.json"),
-        seed_label=config.seed_label,
+    retract_cfg = replace(
+        embed_cfg, command="retract", out=str(out_dir / "k4-retraction.json"), splits=()
     )
     _emit(retract_cfg, cmd_retract(retract_cfg), "retraction certificate")
 
     worst = 0
     for cert in ("k4-embedding.json", "swap-extension.json", "k4-retraction.json"):
-        verify_cfg = RunConfig(
-            command="verify", inputs=(str(out_dir / cert),), bounds=config.bounds
-        )
+        verify_cfg = replace(config, command="verify", inputs=(str(out_dir / cert),))
         checks, code = cmd_verify(verify_cfg)
         status = "ok" if code == 0 else "FAILED"
         print(f"{cert}: {status} ({len(checks)} checks)")

@@ -11,7 +11,7 @@ can be compared on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .balltree import (
@@ -47,12 +47,12 @@ class GenericPresentation:
         """The ambient point carrying x (top entry of its thread)."""
         return self.eta[x].entries[-1]
 
-    def eta_entry_sets(self) -> tuple[set[str], ...]:
-        """Per ambient level, the ball labels met by the embedded image."""
-        out: tuple[set[str], ...] = tuple(set() for _ in self.ambient.levels)
-        for thread in self.eta.values():
-            for level, entry in enumerate(thread.entries):
-                out[level].add(entry)
+    def holders(self, level: int) -> dict[str, list[str]]:
+        """The marked balls at an ambient level: each ball met by the embedded
+        image, with the base points whose eta threads pass through it."""
+        out: dict[str, list[str]] = {}
+        for x in self.space.points:
+            out.setdefault(self.eta[x].entries[level], []).append(x)
         return out
 
 
@@ -98,29 +98,26 @@ def embed_generic(
             phi.point_value(x) for phi in build.sequence.phis
         )
         eta[x] = Thread(entries)
-    marked: tuple[set[str], ...] = tuple(set() for _ in ambient.levels)
-    for thread in eta.values():
-        for level, entry in enumerate(thread.entries):
-            marked[level].add(entry)
-    target_levels = []
-    choices = []
-    for alpha in range(ambient.depth):
-        choice = {}
-        for label in ambient.levels[alpha].points:
-            free = [c for c in ambient.children(alpha, label) if c not in marked[alpha + 1]]
-            assert free, "every padded stage keeps a pad child under each ball"
-            choice[label] = free[0]
-        target_levels.append(alpha + 1)
-        choices.append(choice)
-    pres = GenericPresentation(
+    unwitnessed = GenericPresentation(
         space=tree,
         sliced=build.sequence,
         ambient=ambient,
         eta=eta,
-        witness=NowhereDenseWitness(tuple(target_levels), tuple(choices)),
+        witness=NowhereDenseWitness((), ()),
         level_offset=offset,
         build=build,
     )
+    choices = []
+    for alpha in range(ambient.depth):
+        marked = unwitnessed.holders(alpha + 1)
+        choice = {}
+        for label in ambient.levels[alpha].points:
+            free = [c for c in ambient.children(alpha, label) if c not in marked]
+            assert free, "every padded stage keeps a pad child under each ball"
+            choice[label] = free[0]
+        choices.append(choice)
+    witness = NowhereDenseWitness(tuple(range(1, ambient.depth + 1)), tuple(choices))
+    pres = replace(unwitnessed, witness=witness)
     _validate_presentation(pres)
     return pres
 
@@ -219,14 +216,13 @@ def _choose_lift_level(
     enough image-free balls in every g-fiber; returns (level, '') or (0, why)."""
     ambient = pres.ambient
     alpha = factoring_level(ambient, dict(g))
-    entry_levels = pres.eta_entry_sets()
     reason = ""
     for beta in range(alpha + 1, ambient.depth + 1):
         g_on_balls = _ball_values(ambient, beta, g)
+        marked = pres.holders(beta)
         ok = True
         for label in ambient.levels[beta].points:
-            holders = [x for x in pres.space.points if pres.eta[x].entries[beta] == label]
-            if len({b[x] for x in holders}) > 1:
+            if len({b[x] for x in marked.get(label, ())}) > 1:
                 reason = f"level {beta}: ball {label!r} mixes distinct b-values"
                 ok = False
                 break
@@ -236,7 +232,7 @@ def _choose_lift_level(
             free = [
                 label
                 for label in ambient.levels[beta].points
-                if g_on_balls[label] == x_point and label not in entry_levels[beta]
+                if g_on_balls[label] == x_point and label not in marked
             ]
             if len(free) < len(f.fiber(x_point)):
                 reason = (
@@ -287,9 +283,7 @@ def lift_through_generic(
 
     ambient = pres.ambient
     g_on_balls = _ball_values(ambient, beta, g)
-    entry_at_beta: dict[str, list[str]] = {}
-    for x in pres.space.points:
-        entry_at_beta.setdefault(pres.eta[x].entries[beta], []).append(x)
+    marked = pres.holders(beta)
     ball_table: dict[str, str] = {}
     avoid: dict[str, list[str]] = {y: [] for y in y_space.points}
     image: dict[str, list[str]] = {y: [] for y in y_space.points}
@@ -299,7 +293,7 @@ def lift_through_generic(
         for label in ambient.levels[beta].points:
             if g_on_balls[label] != x_point:
                 continue
-            holders = entry_at_beta.get(label)
+            holders = marked.get(label)
             if holders:
                 y = b[holders[0]]
                 ball_table[label] = y
@@ -353,14 +347,12 @@ def brute_force_lift_oracle(
             f"oracle bound exceeded: {len(y_space)}^{len(labels)} maps at level {beta}"
         )
     g_on_balls = _ball_values(ambient, beta, g)
-    forced: dict[str, set[str]] = {}
-    for x in pres.space.points:
-        forced.setdefault(pres.eta[x].entries[beta], set()).add(b[x])
+    marked = pres.holders(beta)
     candidates = []
     for label in labels:
         cands = [y for y in f.fiber(g_on_balls[label])]
-        need = forced.get(label)
-        if need is not None:
+        if label in marked:
+            need = {b[x] for x in marked[label]}
             cands = [y for y in cands if y in need] if len(need) == 1 else []
         candidates.append(cands)
     out = []
@@ -440,14 +432,6 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
             f"ambient depths differ ({src_amb.depth} vs {dst_amb.depth}); "
             "build both presentations to the same depth"
         )
-    src_marks: dict[tuple[int, str], list[str]] = {}
-    for x, thread in p.src.eta.items():
-        for level, entry in enumerate(thread.entries):
-            src_marks.setdefault((level, entry), []).append(x)
-    dst_marked: tuple[set[str], ...] = tuple(set() for _ in dst_amb.levels)
-    for thread in p.dst.eta.values():
-        for level, entry in enumerate(thread.entries):
-            dst_marked[level].add(entry)
 
     level_maps = [{src_amb.levels[0].points[0]: dst_amb.levels[0].points[0]}]
     for level in range(1, src_amb.depth + 1):
@@ -456,6 +440,7 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 f"round {level}: levels have {len(src_amb.levels[level])} and "
                 f"{len(dst_amb.levels[level])} balls; the presentations are incompatible"
             )
+        src_marked, dst_marked = p.src.holders(level), p.dst.holders(level)
         table: dict[str, str] = {}
         parents_pairs = list(level_maps[level - 1].items())
         if level % 2 == 0:
@@ -472,7 +457,7 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 )
             taken = set()
             for child in src_children:
-                holders = src_marks.get((level, child))
+                holders = src_marked.get(child)
                 if not holders:
                     continue
                 targets = {p.dst.eta[p.mapping[x]].entries[level] for x in holders}
@@ -485,7 +470,7 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 table[child] = target
                 taken.add(target)
             free_dst = [c for c in dst_children if c not in taken]
-            spare_dst = [c for c in free_dst if c in dst_marked[level]]
+            spare_dst = [c for c in free_dst if c in dst_marked]
             if spare_dst:
                 raise InputError(
                     f"round {level}: target ball {spare_dst[0]!r} carries embedded points "

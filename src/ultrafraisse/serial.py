@@ -23,6 +23,25 @@ def require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def label_list(data: Any, name: str) -> tuple[str, ...]:
+    """A JSON list of labels as a tuple; SchemaError otherwise."""
+    require(
+        isinstance(data, list) and all(isinstance(x, str) for x in data),
+        f"{name} must be a list of points",
+    )
+    return tuple(data)
+
+
+def label_map(data: Any, name: str) -> dict[str, str]:
+    """A JSON label-to-label object as a dict; SchemaError otherwise."""
+    require(
+        isinstance(data, dict)
+        and all(isinstance(k, str) and isinstance(v, str) for k, v in data.items()),
+        f"{name} must be a label-to-label object",
+    )
+    return dict(data)
+
+
 def dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

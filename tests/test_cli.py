@@ -298,3 +298,81 @@ def test_malformed_task_fields_fail_without_traceback(tmp_path, k4_path, mutate,
         assert fails and all("absorption witness" in line for line in fails)
     else:
         assert "parse error" in captured.err
+
+
+@pytest.fixture(scope="module")
+def certificates(tmp_path_factory):
+    """One certificate of each kind from the golden grid, keyed by its `kind`."""
+    from test_golden import CASES
+
+    certs = {}
+    for name in ("embed-k4-d4-split", "retract-k4-d4", "extend-b3", "lift-b3"):
+        cert = json.loads(CASES[name](tmp_path_factory.mktemp(name)).read_text())
+        certs[cert["kind"]] = cert
+    return certs
+
+
+FUZZ_KEYS = {
+    "lift-certificate": (
+        "kind", "f_source", "f_target", "subset", "b", "g", "ball_table",
+        "avoid_families", "image_families",
+    ),
+    "extension-certificate": ("kind", "src_points", "dst_points", "mapping", "levels"),
+    "retraction-certificate": ("kind", "maps", "table"),
+    "embedding-certificate": ("kind",),
+}
+FUZZ_VALUES = (5, "x", None, [], {}, [5], {"a": 5})
+
+
+def _assert_verify_rejects_cleanly(tmp_path, cert, capsys):
+    """Verify exits 2 with a parse error, or 1 with a FAIL line; it never raises."""
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "fuzzed.json"
+    path.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    code = run("verify", path)
+    captured = capsys.readouterr()
+    if code == 1:
+        assert any(line.startswith("FAIL") for line in captured.out.splitlines())
+    else:
+        assert code == 2 and "parse error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [(kind, key, value) for kind, keys in FUZZ_KEYS.items() for key in keys for value in FUZZ_VALUES],
+    ids=lambda v: json.dumps(v),
+)
+def test_top_level_field_types_never_crash_verify(tmp_path, certificates, kind, key, value, capsys):
+    cert = json.loads(json.dumps(certificates[kind]))
+    cert[key] = value
+    _assert_verify_rejects_cleanly(tmp_path, cert, capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [(kind, key, value)
+     for kind, key in (("extension-certificate", "levels"), ("retraction-certificate", "reindex"))
+     for value in FUZZ_VALUES + (99,)],
+    ids=lambda v: json.dumps(v),
+)
+def test_list_entry_types_never_crash_verify(tmp_path, certificates, kind, key, value, capsys):
+    cert = json.loads(json.dumps(certificates[kind]))
+    cert[key] = [value] * len(cert[key])
+    _assert_verify_rejects_cleanly(tmp_path, cert, capsys)
+
+
+def test_extra_retraction_map_never_crashes_verify(tmp_path, certificates, capsys):
+    cert = json.loads(json.dumps(certificates["retraction-certificate"]))
+    cert["maps"].append(cert["maps"][-1])
+    _assert_verify_rejects_cleanly(tmp_path, cert, capsys)
+
+
+@pytest.mark.parametrize("value", [[], {"a": 5}, ["embedding-certificate"]], ids=json.dumps)
+def test_non_string_kind_is_a_parse_error(tmp_path, certificates, value, capsys):
+    cert = dict(certificates["embedding-certificate"], kind=value)
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "kind.json"
+    path.write_text(serial.dumps(cert))
+    assert run("verify", path) == 2
+    assert "certificate kind" in capsys.readouterr().err
