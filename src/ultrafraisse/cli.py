@@ -7,7 +7,6 @@ depth error, 4 semantic input error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -83,9 +82,9 @@ def _read_json(path: str):
         ) from None
 
 
-def _task_schedule(config: RunConfig) -> TaskSchedule:
+def _task_schedule(splits: tuple[str, ...]) -> TaskSchedule:
     entries = []
-    for spec_text in config.splits:
+    for spec_text in splits:
         stage_text, _, point = spec_text.partition(":")
         if not point:
             raise InputError(f"--split wants STAGE:POINT, got {spec_text!r}")
@@ -129,7 +128,7 @@ def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
     retraction certificates share."""
     tree = serial.tree_from_json(_read_json(config.inputs[0]), name=config.inputs[0])
     schedule = PaddingSchedule(config.pad_base, config.pad_growth)
-    pres = embed_generic(tree, config.depth, schedule, _task_schedule(config))
+    pres = embed_generic(tree, config.depth, schedule, _task_schedule(config.splits))
     section = {
         "params": {
             "depth": config.depth,
@@ -240,8 +239,9 @@ def _check(checks: list[Check], name: str, fn) -> bool:
 def _verify_presentation(checks: list[Check], payload: dict):
     """Re-check the presentation section of an embedding or retraction
     certificate: the sequence, then the stated ambient tree and eta table
-    against it.  Returns (space, sliced, ambient, eta), or None once the
-    sequence checks fail."""
+    against it.  Returns (params, space, sliced, ambient, eta), or None once
+    the sequence checks fail."""
+    params = serial.params_from_json(payload.get("params"), name="certificate params")
     space = serial.tree_from_json(payload.get("space"), name="certificate space")
     spaces, steps, phis = serial.sliced_parts_from_json(
         payload.get("sequence"), space, name="certificate sequence"
@@ -249,6 +249,8 @@ def _verify_presentation(checks: list[Check], payload: dict):
     holder: dict[str, SlicedSequence] = {}
 
     def assemble():
+        if len(steps) != params["depth"]:
+            raise ValueError(f"params depth {params['depth']} but the sequence has {len(steps)} steps")
         holder["sliced"] = SlicedSequence(InverseSequence(spaces, steps), phis)
 
     if not _check(checks, "sequence wiring and slice compatibility", assemble):
@@ -297,7 +299,7 @@ def _verify_presentation(checks: list[Check], payload: dict):
             raise ValueError("eta table is not injective")
 
     _check(checks, "eta table matches the sequence and is injective", run)
-    return space, sliced, ambient, eta
+    return params, space, sliced, ambient, eta
 
 
 def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
@@ -311,7 +313,7 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     presented = _verify_presentation(checks, payload)
     if presented is None:
         return checks
-    space, sliced, ambient, eta = presented
+    params, space, sliced, ambient, eta = presented
     image = [t.entries[-1] for t in eta.values()]
 
     witness = serial.witness_from_json(payload.get("witness"))
@@ -330,6 +332,20 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
         _check(checks, "witness matches the exhaustive search", minimality)
     else:
         checks.append(("witness matches the exhaustive search", "skipped (bound)", f"cost {cost}"))
+
+    def stated_lists():
+        tags = [entry.get("tag") for entry in tasks]
+        want = [tag for tag, _ in _task_schedule(tuple(params["splits"])).entries]
+        if not all(isinstance(tag, str) for tag in tags) or sorted(tags) != sorted(want):
+            raise ValueError(f"task tags {tags!r} are not the scheduled splits {want!r}")
+        stated = [(e.get("level"), e.get("target_points"), e.get("target_map")) for e in probes]
+        canonical = [
+            (p.level, list(p.target.points), dict(p.quotient_map.mapping))
+            for p in _canonical_probes(space)
+        ]
+        if stated != canonical:
+            raise ValueError("probes are not the canonical probes of the space")
+    _check(checks, "tasks and probes are those params and space determine", stated_lists)
 
     top = sliced.seq.length
     for i, entry in enumerate(tasks):
@@ -435,7 +451,7 @@ def _verify_retraction(payload: dict, bounds: int) -> list[Check]:
     presented = _verify_presentation(checks, payload)
     if presented is None:
         return checks
-    space, sliced, ambient, eta = presented
+    _, space, sliced, ambient, eta = presented
 
     reindex = payload.get("reindex", [])
     maps_raw = payload.get("maps", [])
@@ -700,67 +716,106 @@ def cmd_demo(config: RunConfig) -> int:
     return worst
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ultrafraisse",
-        description="Build and verify generic-embedding certificates over ball trees.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: ultrafraisse {embed,extend,retract,verify} INPUT [options]
+       ultrafraisse demo [options]
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="path to a JSON input")
-        p.add_argument("--depth", type=int, default=4, help="sequence length to build")
-        p.add_argument("--pad-base", type=int, default=2, dest="pad_base")
-        p.add_argument("--pad-growth", type=int, default=2, dest="pad_growth")
-        p.add_argument("--bounds", type=int, default=200_000, help="search budget for oracles")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--seed-label", default="", dest="seed_label")
-        p.add_argument(
-            "--split",
-            action="append",
-            default=[],
-            dest="splits",
-            metavar="STAGE:POINT",
-            help="schedule a point-splitting task (repeatable)",
-        )
+Build and verify generic-embedding certificates over ball trees.
 
-    common(sub.add_parser("embed", help="embed a tree into a generic limit"))
-    common(sub.add_parser("extend", help="extend a bijection of embedded sets"))
-    common(sub.add_parser("retract", help="retract a generic limit onto the tree"))
-    common(sub.add_parser("verify", help="re-verify a certificate"))
-    common(sub.add_parser("demo", help="run the bundled pipeline"), with_input=False)
-    return parser
+commands:
+  embed     embed a tree into a generic limit
+  extend    extend a bijection of embedded sets
+  retract   retract a generic limit onto the tree
+  verify    re-verify a certificate
+  demo      run the bundled pipeline
+
+options (any command, before or after INPUT; --opt VALUE or --opt=VALUE):
+  --depth N             sequence length to build (default 4)
+  --pad-base N          padding schedule base (default 2)
+  --pad-growth N        padding schedule growth (default 2)
+  --bounds N            search budget for oracles (default 200000)
+  --out PATH            output path
+  --seed-label TEXT     label recorded in certificates verbatim
+  --split STAGE:POINT   schedule a point-splitting task (repeatable)
+  -h, --help            show this text
+"""
+
+COMMANDS = ("embed", "extend", "retract", "verify", "demo")
+
+# option -> (RunConfig field, value conversion); --split appends, the others
+# keep their last value
+_OPTIONS = {
+    "--depth": ("depth", int),
+    "--pad-base": ("pad_base", int),
+    "--pad-growth": ("pad_growth", int),
+    "--bounds": ("bounds", int),
+    "--out": ("out", str),
+    "--seed-label": ("seed_label", str),
+    "--split": ("splits", str),
+}
+
+
+def _is_option(token: str) -> bool:
+    """A token naming an option; "-" and negative integers are values."""
+    return len(token) > 1 and token[0] == "-" and not token[1:].isdigit()
+
+
+def _parse_args(argv: list[str]) -> RunConfig:
+    """The command line as a RunConfig; SchemaError when it is malformed."""
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        raise SchemaError(f"command must be one of {', '.join(COMMANDS)}; got {command!r}")
+    fields: dict = {}
+    splits: list[str] = []
+    inputs: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_option(token):
+            inputs.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in _OPTIONS:
+            raise SchemaError(f"unknown option {name}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise SchemaError(f"{name} needs a value")
+        field, convert = _OPTIONS[name]
+        try:
+            value = convert(value)
+        except ValueError:
+            raise SchemaError(f"{name} wants an integer, got {value!r}") from None
+        if field == "splits":
+            splits.append(value)
+        else:
+            fields[field] = value
+    wanted = 0 if command == "demo" else 1
+    if len(inputs) != wanted:
+        raise SchemaError(f"{command} takes {wanted} input path(s), got {len(inputs)}")
+    return RunConfig(command=command, inputs=tuple(inputs), splits=tuple(splits), **fields)
+
+
+_PRODUCERS = {
+    "embed": (cmd_embed, "embedding certificate"),
+    "extend": (cmd_extend, "extension certificate"),
+    "retract": (cmd_retract, "retraction certificate"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        config = RunConfig(
-            command=args.command,
-            inputs=(args.input,) if hasattr(args, "input") else (),
-            depth=args.depth,
-            pad_base=args.pad_base,
-            pad_growth=args.pad_growth,
-            bounds=args.bounds,
-            out=args.out,
-            seed_label=args.seed_label,
-            splits=tuple(args.splits),
-        )
-        if config.command == "embed":
-            _emit(config, cmd_embed(config), "embedding certificate")
-            return 0
-        if config.command == "extend":
-            _emit(config, cmd_extend(config), "extension certificate")
-            return 0
-        if config.command == "retract":
-            _emit(config, cmd_retract(config), "retraction certificate")
-            return 0
+        config = _parse_args(argv)
         if config.command == "verify":
             return _run_verify(config)
         if config.command == "demo":
             return cmd_demo(config)
-        raise SchemaError(f"unknown command {config.command!r}")
+        produce, summary = _PRODUCERS[config.command]
+        _emit(config, produce(config), summary)
+        return 0
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -377,11 +377,24 @@ class PartialHomeo:
             raise InputError("mapping is not a bijection between the two embedded sets")
         if len(set(self.mapping.values())) != len(self.mapping):
             raise InputError("mapping is not injective")
-        common = min(self.src.space.depth, self.dst.space.depth)
+        src, dst = self.src.space, self.dst.space
+        common = min(src.depth, dst.depth)
+        # x, y share a level-a ball iff their images do, for every a <= common:
+        # the level-a balls then correspond one to one.
+        for a in range(1, common + 1):
+            pairs = {
+                (src.ancestor(src.depth, x, a), dst.ancestor(dst.depth, y, a))
+                for x, y in self.mapping.items()
+            }
+            if len(pairs) != len({s for s, _ in pairs}) or len(pairs) != len({d for _, d in pairs}):
+                break
+        else:
+            return
+        # name the first failing pair of the pairwise definition
         for x in src_pts:
             for y in src_pts:
-                du = u_metric(self.src.space, x, y)
-                dv = u_metric(self.dst.space, self.mapping[x], self.mapping[y])
+                du = u_metric(src, x, y)
+                dv = u_metric(dst, self.mapping[x], self.mapping[y])
                 if min(du, common) != min(dv, common):
                     raise InputError(
                         f"mapping breaks ball structure at level {min(du, dv) + 1}: "

@@ -42,6 +42,23 @@ def label_map(data: Any, name: str) -> dict[str, str]:
     return dict(data)
 
 
+def params_from_json(data: Any, name: str = "params") -> dict:
+    """The run parameters an embedding or retraction certificate states;
+    SchemaError unless every field has its type."""
+    require(isinstance(data, dict), f"{name}: expected an object")
+    depth = data.get("depth")
+    require(type(depth) is int and depth >= 1, f"{name}: 'depth' must be an integer >= 1")
+    for key in ("pad_base", "pad_growth"):
+        require(type(data.get(key)) is int, f"{name}: {key!r} must be an integer")
+    require(isinstance(data.get("seed_label"), str), f"{name}: 'seed_label' must be a string")
+    splits = data.get("splits")
+    require(
+        isinstance(splits, list) and all(isinstance(x, str) for x in splits),
+        f"{name}: 'splits' must be a list of strings",
+    )
+    return data
+
+
 def dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

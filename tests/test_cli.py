@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ultrafraisse
 
 from ultrafraisse import serial
 from ultrafraisse.cli import main
@@ -318,8 +324,8 @@ FUZZ_KEYS = {
         "avoid_families", "image_families",
     ),
     "extension-certificate": ("kind", "src_points", "dst_points", "mapping", "levels"),
-    "retraction-certificate": ("kind", "maps", "table"),
-    "embedding-certificate": ("kind",),
+    "retraction-certificate": ("kind", "maps", "table", "params"),
+    "embedding-certificate": ("kind", "params"),
 }
 FUZZ_VALUES = (5, "x", None, [], {}, [5], {"a": 5})
 
@@ -362,6 +368,51 @@ def test_list_entry_types_never_crash_verify(tmp_path, certificates, kind, key, 
     _assert_verify_rejects_cleanly(tmp_path, cert, capsys)
 
 
+@pytest.mark.parametrize("kind", ["embedding-certificate", "retraction-certificate"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("depth", "x"), ("depth", 9), ("depth", 0), ("depth", True), ("pad_base", "x"),
+     ("pad_growth", None), ("seed_label", 5), ("splits", "1:p0"), ("splits", [5])],
+    ids=lambda v: json.dumps(v),
+)
+def test_params_fields_are_checked_by_verify(tmp_path, certificates, kind, key, value, capsys):
+    cert = json.loads(json.dumps(certificates[kind]))
+    cert["params"][key] = value
+    _assert_verify_rejects_cleanly(tmp_path, cert, capsys)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: c.update(tasks=[]),
+        lambda c: c.update(probes=[]),
+        lambda c: c["probes"].pop(),
+        lambda c: c["probes"][1].update(level=1),
+        lambda c: c["params"].update(splits=[]),
+        lambda c: c["params"]["splits"].append("3:zz"),
+        lambda c: c["tasks"][0].update(tag=5),
+    ],
+    ids=["no-tasks", "no-probes", "probe-dropped", "probe-level", "no-splits", "extra-split",
+         "tag-int"],
+)
+def test_tasks_and_probes_must_match_params_and_space(tmp_path, certificates, mutate, capsys):
+    cert = json.loads(json.dumps(certificates["embedding-certificate"]))
+    mutate(cert)
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "mutated.json"
+    path.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", path) == 1
+    assert "FAIL tasks and probes are those params and space determine" in capsys.readouterr().out
+
+
+def test_split_order_does_not_matter_to_verify(tmp_path, k4_path):
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--split", "2:00", "--split", "1:p0", "--out", out) == 0
+    assert [t["tag"] for t in json.loads(out.read_text())["tasks"]] == ["split:1:p0", "split:2:00"]
+    assert run("verify", out) == 0
+
+
 def test_extra_retraction_map_never_crashes_verify(tmp_path, certificates, capsys):
     cert = json.loads(json.dumps(certificates["retraction-certificate"]))
     cert["maps"].append(cert["maps"][-1])
@@ -376,3 +427,69 @@ def test_non_string_kind_is_a_parse_error(tmp_path, certificates, value, capsys)
     path.write_text(serial.dumps(cert))
     assert run("verify", path) == 2
     assert "certificate kind" in capsys.readouterr().err
+
+
+def test_option_spellings_and_positions_give_the_same_certificate(tmp_path, k4_path):
+    outs = [tmp_path / f"{i}.json" for i in range(3)]
+    assert run("embed", k4_path, "--depth", "4", "--split", "1:p0", "--out", outs[0]) == 0
+    assert run("embed", "--depth=4", "--split=1:p0", f"--out={outs[1]}", k4_path) == 0
+    assert run("embed", "--depth", "3", "--split", "1:p0", k4_path, "--depth=4", "--out", outs[2]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+def test_repeated_split_appends_in_order(tmp_path, k4_path):
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--split", "2:00", "--out", out, "--split=1:p0") == 0
+    assert json.loads(out.read_text())["params"]["splits"] == ["2:00", "1:p0"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["embed", "--help"], ["verify", "x.json", "-h"]])
+def test_help_prints_usage_and_returns_0(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ultrafraisse") and "--split STAGE:POINT" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["lift", "x.json"],
+        ["--depth", "4", "embed", "x.json"],
+        ["embed", "x.json", "--bogus", "1"],
+        ["embed", "x.json", "--dep", "4"],
+        ["embed", "x.json", "--depth"],
+        ["embed", "x.json", "--out", "--depth", "4"],
+        ["embed", "x.json", "--depth", "four"],
+        ["embed", "x.json", "--bounds=1e3"],
+        ["embed"],
+        ["verify", "--bounds", "1"],
+        ["embed", "x.json", "y.json"],
+        ["demo", "x.json"],
+    ],
+    ids=["no-command", "unknown-command", "option-before-command", "unknown-option",
+         "abbreviation", "missing-value", "option-as-value", "non-int", "non-int-equals",
+         "missing-input", "missing-input-verify", "extra-input", "demo-with-input"],
+)
+def test_malformed_command_line_is_a_parse_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_verify_imports_no_argparse_gettext_or_locale(tmp_path, k4_path):
+    cert = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--out", cert) == 0
+    script = (
+        "import sys\n"
+        "from ultrafraisse.cli import main\n"
+        f"code = main(['verify', {str(cert)!r}])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    src = str(Path(ultrafraisse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -6,8 +6,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrafraisse.balltree import ball_quotients, from_sequence
+from ultrafraisse.balltree import ball_quotients, from_sequence, u_metric
+from ultrafraisse.errors import InputError
 from ultrafraisse.fixtures import binary_tree, random_tree
+from ultrafraisse.generic import PartialHomeo, presentation_from_subset
 from ultrafraisse.sequences import InverseSequence, check_coherent
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection
 
@@ -117,3 +119,64 @@ def test_coherence_builds_at_most_one_map_per_step(monkeypatch):
     monkeypatch.setattr(PointMap, "__init__", counting_init)
     assert check_coherent(seq).ok
     assert len(built) <= seq.length + 1
+
+
+def pairwise_rejection(src_pres, dst_pres, mapping: dict[str, str]) -> str | None:
+    """The pairwise definition of a ball-respecting bijection: the message
+    naming its first failing pair, or None when every pair agrees."""
+    src, dst = src_pres.space, dst_pres.space
+    common = min(src.depth, dst.depth)
+    for x in src.points:
+        for y in src.points:
+            du, dv = u_metric(src, x, y), u_metric(dst, mapping[x], mapping[y])
+            if min(du, common) != min(dv, common):
+                return (
+                    f"mapping breaks ball structure at level {min(du, dv) + 1}: "
+                    f"pair ({x!r}, {y!r}) meets at {du}, images meet at {dv}"
+                )
+    return None
+
+
+PREFIXES = [format(i, f"0{k}b") if k else "" for k in range(5) for i in range(2**k)]
+
+
+@st.composite
+def partial_maps(draw):
+    """(source leaves of binary_tree(5), target depth, their images).  Each
+    set keeps at most one leaf per sibling pair, so it is uniformly nowhere
+    dense.  Images come from a tree automorphism (flip the bit after each
+    chosen prefix) or are any same-size set, and are shuffled half the time."""
+    n = draw(st.integers(1, 8))
+
+    def leaves(depth):
+        pairs = draw(st.lists(st.integers(0, 2 ** (depth - 1) - 1), min_size=n, max_size=n, unique=True))
+        sides = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return [format(2 * pair + side, f"0{depth}b") for pair, side in zip(pairs, sides)]
+
+    src = leaves(5)
+    if draw(st.booleans()):
+        flips = draw(st.sets(st.sampled_from(PREFIXES)))
+        dst_depth = 5
+        image = ["".join(str(int(c) ^ (x[:i] in flips)) for i, c in enumerate(x)) for x in src]
+    else:
+        dst_depth = draw(st.sampled_from([4, 5]))
+        image = leaves(dst_depth)
+    if draw(st.booleans()):
+        image = draw(st.permutations(image))
+    return src, dst_depth, image
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_maps())
+def test_partial_homeo_matches_pairwise_definition(case):
+    src_points, dst_depth, dst_points = case
+    src = presentation_from_subset(binary_tree(5), src_points)
+    dst = presentation_from_subset(binary_tree(dst_depth), dst_points)
+    mapping = dict(zip(src_points, dst_points))
+    want = pairwise_rejection(src, dst, mapping)
+    if want is None:
+        PartialHomeo(src, dst, mapping)
+    else:
+        with pytest.raises(InputError) as rejected:
+            PartialHomeo(src, dst, mapping)
+        assert str(rejected.value) == want
