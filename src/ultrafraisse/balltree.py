@@ -39,10 +39,8 @@ class BallTree:
         object.__setattr__(self, "_chains", tuple(chains))
         # _below[(beta, level)][ball] = the level-beta balls inside the ball, filled on demand
         object.__setattr__(self, "_below", {})
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+        # the number of levels below the root, read on every hot path
+        object.__setattr__(self, "depth", len(self.levels) - 1)
 
     @property
     def points(self) -> tuple[str, ...]:
@@ -219,10 +217,17 @@ class NowhereDenseFailure:
     ball: str
 
 
-def _avoiding_descendants(tree: BallTree, level: int, label: str, beta: int, avoid: frozenset[str]) -> tuple[str, ...]:
-    return tuple(
-        b for b in tree.descendants(level, label, beta) if not (tree.leafset(beta, b) & avoid)
-    )
+def met_balls(tree: BallTree, subset: Iterable[str]) -> tuple[frozenset[str], ...]:
+    """For each level, the balls that contain a point of the subset.
+
+    A ball avoids the subset exactly when it is not in its level's set.
+    Subset points that are not points of the tree are ignored.
+    """
+    chains = tree._chains[-1]
+    rows = [chains[p] for p in subset if p in chains]
+    if not rows:
+        return tuple(frozenset() for _ in tree.levels)
+    return tuple(map(frozenset, zip(*rows)))
 
 
 def is_uniformly_nowhere_dense(
@@ -234,41 +239,48 @@ def is_uniformly_nowhere_dense(
     alpha-ball contains a beta-ball disjoint from the subset, together with
     the lexicographically least such ball per alpha-ball.  If some level
     admits no beta at all, the least failing level is returned instead.
+
+    One bottom-up pass finds each ball's first free level: the least level
+    holding a descendant (the ball itself included) that avoids the subset.
+    Every descendant of a free ball is free and every ball has a child, so
+    a ball holds a free beta-ball exactly when beta reaches that level.
     """
     avoid = frozenset(subset)
-    unknown = avoid - set(tree.points)
+    unknown = [p for p in avoid if p not in tree.levels[-1]]
     if unknown:
-        raise ValueError(f"subset point {sorted(unknown)[0]!r} is not in the tree")
+        raise ValueError(f"subset point {min(unknown)!r} is not in the tree")
+    met = met_balls(tree, avoid)
+    never = tree.depth + 1
+    # first[level][ball] for the met balls only; a ball that avoids the
+    # subset is free at its own level
+    first: list[dict[str, int]] = [{} for _ in tree.levels]
+    first[-1] = dict.fromkeys(met[-1], never)
+    for level in range(tree.depth - 1, -1, -1):
+        below = first[level + 1]
+        first[level] = {
+            b: min(below.get(c, level + 1) for c in tree.parents[level].fiber(b))
+            for b in met[level]
+        }
     target_levels = []
     choices = []
     for alpha in range(tree.depth):
-        found_beta = None
-        found_choice: dict[str, str] = {}
-        for beta in range(alpha + 1, tree.depth + 1):
-            choice = {}
-            for label in tree.levels[alpha].points:
-                free = _avoiding_descendants(tree, alpha, label, beta, avoid)
-                if not free:
-                    break
-                choice[label] = free[0]
-            else:
-                found_beta, found_choice = beta, choice
-                break
-        if found_beta is None:
-            worst = next(
-                label
-                for label in tree.levels[alpha].points
-                if not _avoiding_descendants(tree, alpha, label, tree.depth, avoid)
-            )
+        beta = max(alpha + 1, max(first[alpha].values(), default=0))
+        if beta == never:
+            worst = next(b for b in tree.levels[alpha].points if first[alpha].get(b) == never)
             return NowhereDenseFailure(level=alpha, ball=worst)
-        target_levels.append(found_beta)
-        choices.append(found_choice)
+        target_levels.append(beta)
+        choices.append(
+            {
+                label: next(b for b in tree.descendants(alpha, label, beta) if b not in met[beta])
+                for label in tree.levels[alpha].points
+            }
+        )
     return NowhereDenseWitness(tuple(target_levels), tuple(choices))
 
 
 def validate_witness(tree: BallTree, subset: Iterable[str], witness: NowhereDenseWitness) -> Report:
     """Recheck every clause of a witness against the tree and subset."""
-    avoid = frozenset(subset)
+    met = met_balls(tree, subset)
     issues = []
     if len(witness.target_levels) != tree.depth or len(witness.choices) != tree.depth:
         return Report((f"witness covers {len(witness.target_levels)} levels, tree needs {tree.depth}",))
@@ -286,9 +298,9 @@ def validate_witness(tree: BallTree, subset: Iterable[str], witness: NowhereDens
             if picked not in tree.levels[beta]:
                 issues.append(f"level {alpha}: choice {picked!r} is not a level-{beta} ball")
                 continue
-            if tree.ancestor(beta, picked, alpha) != label:
+            if tree._chains[beta][picked][alpha] != label:
                 issues.append(f"level {alpha}: choice {picked!r} is not inside ball {label!r}")
-            if tree.leafset(beta, picked) & avoid:
+            if picked in met[beta]:
                 issues.append(f"level {alpha}: choice {picked!r} meets the subset")
     return Report(tuple(issues))
 
@@ -305,7 +317,7 @@ def nowhere_dense_to_uniform(
     is the maximum of the per-ball levels; each witness ball is deepened to
     that level by taking its least descendant, which still avoids the subset.
     """
-    avoid = frozenset(subset)
+    met = met_balls(tree, subset)
     target_levels = []
     choices = []
     for alpha in range(tree.depth):
@@ -317,17 +329,17 @@ def nowhere_dense_to_uniform(
             beta_v, picked = got
             if not alpha < beta_v <= tree.depth:
                 raise ValueError(f"ball ({alpha}, {label!r}): level {beta_v} not below {label!r}")
-            if picked not in tree.levels[beta_v] or tree.ancestor(beta_v, picked, alpha) != label:
+            if picked not in tree.levels[beta_v] or tree._chains[beta_v][picked][alpha] != label:
                 raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} not inside it")
-            if tree.leafset(beta_v, picked) & avoid:
+            if picked in met[beta_v]:
                 raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} meets the subset")
             entries[label] = (beta_v, picked)
         beta = max(b for b, _ in entries.values())
         deepened = {}
         for label, (beta_v, picked) in entries.items():
-            descendants = tree.descendants(beta_v, picked, beta)
-            deepened[label] = descendants[0]
-            assert not (tree.leafset(beta, descendants[0]) & avoid)
+            deepened[label] = tree.descendants(beta_v, picked, beta)[0]
+            if deepened[label] in met[beta]:
+                raise AssertionError(f"descendant {deepened[label]!r} of a free ball meets the subset")
         target_levels.append(beta)
         choices.append(deepened)
     return NowhereDenseWitness(tuple(target_levels), tuple(choices))
@@ -342,10 +354,12 @@ def factoring_level(tree: BallTree, point_map: Mapping[str, str]) -> int:
     missing = [p for p in tree.points if p not in point_map]
     if missing:
         raise ValueError(f"map undefined at point {missing[0]!r}")
+    chains = tree._chains[-1]
     for level in range(tree.depth + 1):
+        value_of: dict[str, str] = {}
         if all(
-            len({point_map[p] for p in tree.leafset(level, label)}) == 1
-            for label in tree.levels[level].points
+            value_of.setdefault(chain[level], point_map[p]) == point_map[p]
+            for p, chain in chains.items()
         ):
             return level
     return tree.depth

@@ -7,6 +7,7 @@ depth error, 4 semantic input error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -20,7 +21,7 @@ from .balltree import (
     thread_embedding,
     validate_witness,
 )
-from .engine import PaddingSchedule, TaskSchedule, point_split_task, verify_fraisse
+from .engine import PaddingSchedule, TaskSchedule, _digest, point_split_task, verify_fraisse
 from .errors import DepthError, InputError, SchemaError
 from .fixtures import binary_tree, k4
 from .generic import (
@@ -251,6 +252,7 @@ def _verify_presentation(checks: list[Check], payload: dict):
     def assemble():
         if len(steps) != params["depth"]:
             raise ValueError(f"params depth {params['depth']} but the sequence has {len(steps)} steps")
+        _check_padded_spaces(params, space, spaces)
         holder["sliced"] = SlicedSequence(InverseSequence(spaces, steps), phis)
 
     if not _check(checks, "sequence wiring and slice compatibility", assemble):
@@ -302,6 +304,37 @@ def _verify_presentation(checks: list[Check], payload: dict):
     return params, space, sliced, ambient, eta
 
 
+def _check_padded_spaces(params: dict, space, spaces: tuple[FiniteSpace, ...]) -> None:
+    """Each sequence space i must be the padded space the build makes: id
+    L{l}P{k} with l = min(i, space depth) and k strictly increasing, points
+    the level-l balls followed by p0..p{n-1}, n = pad_base * pad_growth**k.
+    Sizes are compared without computing a pad size from certificate
+    numbers, so a huge index fails instead of allocating."""
+    PaddingSchedule(params["pad_base"], params["pad_growth"])
+    last = -1
+    for i, sp in enumerate(spaces):
+        level = min(i, space.depth)
+        prefix = f"L{level}P"
+        digits = sp.id[len(prefix):]
+        if not (digits.isascii() and digits.isdigit()) or sp.id != f"{prefix}{int(digits)}":
+            raise ValueError(f"space {i} has id {sp.id!r}, want {prefix}<pad index>")
+        index = int(digits)
+        if index <= last:
+            raise ValueError(f"space {i}: pad index {index} does not exceed {last}")
+        last = index
+        balls = space.levels[level].points
+        count = len(sp) - len(balls)
+        size = params["pad_base"]
+        for _ in range(index):
+            if size > count:
+                break
+            size *= params["pad_growth"]
+        if size != count:
+            raise ValueError(f"space {i}: {count} pad points are not pad_base * pad_growth**{index}")
+        if sp.points != balls + tuple(f"p{j}" for j in range(count)):
+            raise ValueError(f"space {i}: points are not the level-{level} balls and p0..p{count - 1}")
+
+
 def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     checks: list[Check] = []
     tasks, probes = payload.get("tasks", []), payload.get("probes", [])
@@ -310,6 +343,11 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
             isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
             f"{key} must be a list of objects",
         )
+    log = payload.get("log", [])
+    serial.require(
+        isinstance(log, list) and all(isinstance(line, str) for line in log),
+        "log must be a list of strings",
+    )
     presented = _verify_presentation(checks, payload)
     if presented is None:
         return checks
@@ -323,7 +361,7 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
         "nowhere-density witness is valid",
         lambda: _raise_unless(witness_report.ok, "; ".join(witness_report.issues[:3])),
     )
-    cost = len(ambient.points) * sum(len(level) for level in ambient.levels)
+    cost = (ambient.depth + 1) * sum(len(level) for level in ambient.levels)
     if cost <= bounds:
         def minimality():
             found = is_uniformly_nowhere_dense(ambient, image)
@@ -348,6 +386,7 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     _check(checks, "tasks and probes are those params and space determine", stated_lists)
 
     top = sliced.seq.length
+    tasks_ok = True
     for i, entry in enumerate(tasks):
         def task_check(entry=entry):
             points = serial.label_list(entry["source_points"], "source_points")
@@ -374,7 +413,26 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
             SliceArrow(sliced.phis[beta], src_obj, witness_map)
             if compose(arrow.q, witness_map) != sliced.seq.bonding(stage, beta):
                 raise ValueError(f"bonding({stage},{beta}) is not arrow o witness")
-        _check(checks, f"task {entry.get('tag', i)} absorption witness", task_check)
+        tasks_ok &= _check(checks, f"task {entry.get('tag', i)} absorption witness", task_check)
+
+    def log_lines():
+        want = []
+        for i, sp in enumerate(sliced.seq.spaces[1:], start=1):
+            level, _, pad = sp.id[1:].partition("P")
+            want.append(f"stage {i}: ball_level={level} pad_index={pad} size={len(sp)}")
+            want += [
+                f"task {e['tag']}: stage={e['stage']} beta={i} digest={_digest(e['witness_map'])}"
+                for e in tasks
+                if e["witness_beta"] == i
+            ]
+        for n, (got, expected) in enumerate(itertools.zip_longest(log, want)):
+            if got != expected:
+                raise ValueError(f"log line {n} is {got!r}, expected {expected!r}")
+
+    # the log restates the task witnesses, so it is compared with them only
+    # once each has passed its own check
+    if tasks_ok:
+        _check(checks, "log matches the sequence and the task witnesses", log_lines)
 
     for i, entry in enumerate(probes):
         def probe_check(entry=entry):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .balltree import BallTree, factoring_level
 from .errors import DepthError
@@ -114,7 +114,8 @@ def make_splitter(
         return {x: (x, 1) for x in hi_points}
     lo_points = pad_space(schedule, pad_lo).points
     targets = [(p, tag) for p in lo_points for tag in (0, 1)]
-    assert len(hi_points) >= len(targets)
+    if len(hi_points) < len(targets):
+        raise AssertionError(f"pad block {pad_hi} is too small to split pad block {pad_lo}")
     return {x: targets[i % len(targets)] for i, x in enumerate(hi_points)}
 
 
@@ -261,7 +262,8 @@ def dominate_arrow(
             mapping[x] = fresh[i % len(fresh)]
     g = SliceArrow(padded.object, h, Surjection(padded.object.target, h.target, mapping))
     canonical = dominating_arrow(tree, (alpha, xi), (beta, delta), schedule)
-    assert compose(arrow.q, g.q) == canonical.q
+    if compose(arrow.q, g.q) != canonical.q:
+        raise AssertionError("the factored arrow does not compose to the canonical surjection")
     return padded, g
 
 
@@ -347,8 +349,8 @@ class BuildResult:
     log: tuple[str, ...]
 
 
-def _digest(q: Surjection) -> str:
-    text = ";".join(f"{k}->{v}" for k, v in sorted(q.mapping.items()))
+def _digest(mapping: Mapping[str, str]) -> str:
+    text = ";".join(f"{k}->{v}" for k, v in sorted(mapping.items()))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -439,7 +441,7 @@ def build_fraisse(
         for tag, task in absorbed:
             witness_q = compose(projections[tag].q, close.q)
             witnesses[tag] = TaskWitness(tag=tag, stage=task.stage, beta=t + 1, mapping=witness_q)
-            log.append(f"task {tag}: stage={task.stage} beta={t + 1} digest={_digest(witness_q)}")
+            log.append(f"task {tag}: stage={task.stage} beta={t + 1} digest={_digest(witness_q.mapping)}")
 
     if pending or waiting:
         left = [tag for tag, _ in pending] + [tag for tag, _ in waiting]
@@ -543,7 +545,8 @@ def _search_task_witness(
     for x in free:
         mapping[x] = owner[x] if x in owner else sorted(candidates[x])[0]
     g = Surjection(sliced.seq.spaces[beta], target, mapping)
-    assert compose(task.arrow.q, g) == bond
+    if compose(task.arrow.q, g) != bond:
+        raise AssertionError(f"the witness at stage {beta} does not compose to the bonding map")
     return g, ""
 
 

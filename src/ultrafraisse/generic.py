@@ -21,6 +21,7 @@ from .balltree import (
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
+    met_balls,
     thread_embedding,
     u_metric,
 )
@@ -113,7 +114,8 @@ def embed_generic(
         choice = {}
         for label in ambient.levels[alpha].points:
             free = [c for c in ambient.children(alpha, label) if c not in marked]
-            assert free, "every padded stage keeps a pad child under each ball"
+            if not free:
+                raise AssertionError("every padded stage keeps a pad child under each ball")
             choice[label] = free[0]
         choices.append(choice)
     witness = NowhereDenseWitness(tuple(range(1, ambient.depth + 1)), tuple(choices))
@@ -135,15 +137,13 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
     for p in points:
         if p not in ambient.levels[-1]:
             raise InputError(f"subset point {p!r} is not a point of the ambient tree")
-    levels = []
-    for alpha in range(ambient.depth + 1):
-        hit = {ambient.ancestor(ambient.depth, p, alpha) for p in points}
-        levels.append(
-            FiniteSpace(
-                id=f"sub:{ambient.levels[alpha].id}",
-                points=tuple(b for b in ambient.levels[alpha].points if b in hit),
-            )
+    levels = [
+        FiniteSpace(
+            id=f"sub:{space.id}",
+            points=tuple(b for b in space.points if b in hit),
         )
+        for space, hit in zip(ambient.levels, met_balls(ambient, points))
+    ]
     parents = []
     for alpha in range(ambient.depth):
         parents.append(
@@ -172,12 +172,12 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
             f"subset is not uniformly nowhere dense: fails at level {witness.level} "
             f"inside ball {witness.ball!r}"
         )
-    embedding = thread_embedding(ambient)
+    chains = ambient._chains[-1]
     pres = GenericPresentation(
         space=base,
         sliced=sliced,
         ambient=ambient,
-        eta={p: embedding[p] for p in points},
+        eta={p: Thread(chains[p]) for p in points},
         witness=witness,
         level_offset=0,
     )
@@ -197,9 +197,12 @@ class LiftResult:
 
 
 def _ball_values(tree: BallTree, level: int, point_map: Mapping[str, str]) -> dict[str, str]:
+    leaves: dict[str, list[str]] = {label: [] for label in tree.levels[level].points}
+    for p, chain in tree._chains[-1].items():
+        leaves[chain[level]].append(p)
     out = {}
-    for label in tree.levels[level].points:
-        values = {point_map[p] for p in tree.leafset(level, label)}
+    for label, points in leaves.items():
+        values = {point_map[p] for p in points}
         if len(values) != 1:
             raise ValueError(f"map is not constant on ball {label!r} at level {level}")
         out[label] = values.pop()
@@ -308,9 +311,12 @@ def lift_through_generic(
     point_table = {
         w: ball_table[ambient.ancestor(ambient.depth, w, beta)] for w in ambient.points
     }
-    assert set(point_table.values()) == set(y_space.points)
-    assert all(f(point_table[w]) == g[w] for w in ambient.points)
-    assert all(point_table[pres.eta_point(x)] == b[x] for x in pres.space.points)
+    if set(point_table.values()) != set(y_space.points):
+        raise AssertionError("the lift is not onto its source")
+    if not all(f(point_table[w]) == g[w] for w in ambient.points):
+        raise AssertionError("the lift breaks f o h = g")
+    if not all(point_table[pres.eta_point(x)] == b[x] for x in pres.space.points):
+        raise AssertionError("the lift breaks h o eta = b")
     return LiftResult(
         beta=beta,
         ball_table=ball_table,
@@ -479,7 +485,8 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                         f"round {level}: ball {child!r} maps across distinct target balls"
                     )
                 target = targets.pop()
-                assert target in dst_children
+                if target not in dst_children:
+                    raise AssertionError(f"round {level}: {target!r} is not a child of {w!r}")
                 table[child] = target
                 taken.add(target)
             free_dst = [c for c in dst_children if c not in taken]
@@ -496,7 +503,8 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
 
     auto = AmbientAutoMap(src=src_amb, dst=dst_amb, level_maps=tuple(level_maps))
     for x, y in p.mapping.items():
-        assert auto.apply(p.src.eta[x]) == p.dst.eta[y]
+        if auto.apply(p.src.eta[x]) != p.dst.eta[y]:
+            raise AssertionError(f"the extension does not carry {x!r} to {y!r}")
     return auto
 
 
@@ -532,7 +540,8 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
     )
     embedded = thread_embedding(base)
     for x in base.points:
-        assert apply_sequence_arrow(arrow, pres.eta[x]) == embedded[x]
+        if apply_sequence_arrow(arrow, pres.eta[x]) != embedded[x]:
+            raise AssertionError(f"the retraction does not restore base point {x!r}")
     return arrow
 
 

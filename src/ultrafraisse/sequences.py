@@ -140,7 +140,8 @@ def apply_sequence_arrow(arrow: SequenceArrow, t: Thread) -> Thread:
         raise ValueError("not a thread of the arrow's source sequence")
     entries = tuple(arrow.maps[a](t.entries[arrow.reindex[a]]) for a in range(arrow.dst.length + 1))
     out = Thread(entries)
-    assert is_thread_of(out, arrow.dst)
+    if not is_thread_of(out, arrow.dst):
+        raise AssertionError("the arrow sends a thread to a non-thread")
     return out
 
 

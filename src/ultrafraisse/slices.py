@@ -38,7 +38,10 @@ class SliceObject:
         return self.quotient_map(self.base.ancestor(level, label, self.level))
 
     def point_value(self, point: str) -> str:
-        return self.value_on_ball(self.base.depth, point)
+        chain = self.base._chains[-1].get(point)
+        if chain is None:
+            raise ValueError(f"{point!r} is not a ball at level {self.base.depth}")
+        return self.quotient_map.mapping[chain[self.level]]
 
     def point_table(self) -> dict[str, str]:
         return {p: self.point_value(p) for p in self.base.points}

@@ -493,3 +493,89 @@ def test_verify_imports_no_argparse_gettext_or_locale(tmp_path, k4_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("kind", ["embedding-certificate", "retraction-certificate"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: c["params"].update(pad_growth=1),
+        lambda c: c["params"].update(pad_base=999),
+        lambda c: c["params"].update(pad_base=3),
+        lambda c: c["sequence"]["spaces"][1].update(id="L1P01"),
+        lambda c: c["sequence"]["spaces"][0].update(id="L0P" + "9" * 40),
+        lambda c: c["sequence"]["spaces"][1].update(id="L0P9"),
+        lambda c: c["sequence"]["spaces"][1].update(id="L1P"),
+    ],
+    ids=["growth-1", "base-999", "base-3", "id-leading-zero", "index-huge", "id-level", "id-no-index"],
+)
+def test_padding_must_match_params(tmp_path, certificates, kind, mutate, capsys):
+    cert = json.loads(json.dumps(certificates[kind]))
+    mutate(cert)
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "mutated.json"
+    path.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", path) == 1
+    assert "FAIL sequence wiring and slice compatibility" in capsys.readouterr().out
+
+
+def test_pad_index_must_increase():
+    from ultrafraisse.cli import _check_padded_spaces
+    from ultrafraisse.spaces import FiniteSpace
+
+    params = {"pad_base": 2, "pad_growth": 2}
+    spaces = (
+        FiniteSpace("L0P0", ("", "p0", "p1")),
+        FiniteSpace("L1P0", ("0", "1", "p0", "p1")),
+    )
+    with pytest.raises(ValueError, match="pad index 0 does not exceed 0"):
+        _check_padded_spaces(params, k4(), spaces)
+    _check_padded_spaces(params, k4(), spaces[:1])
+
+
+@pytest.mark.parametrize("value", [5, [5], None], ids=json.dumps)
+def test_log_must_be_a_list_of_strings(tmp_path, certificates, value, capsys):
+    cert = dict(certificates["embedding-certificate"], log=value)
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "log.json"
+    path.write_text(serial.dumps(cert))
+    assert run("verify", path) == 2
+    assert "log must be a list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda log: log.pop(),
+        lambda log: log.pop(2),
+        lambda log: log.__setitem__(2, log[2][:-1] + ("0" if log[2][-1] != "0" else "1")),
+        lambda log: log.__setitem__(0, log[0].replace("size=", "size=1")),
+        lambda log: log.append(log[-1]),
+        lambda log: log.insert(0, log.pop(2)),
+    ],
+    ids=["last-dropped", "task-dropped", "digest-edited", "size-edited", "line-added", "reordered"],
+)
+def test_log_must_match_sequence_and_task_witnesses(tmp_path, certificates, mutate, capsys):
+    cert = json.loads(json.dumps(certificates["embedding-certificate"]))
+    assert cert["log"][2].startswith("task split:1:p0: ")
+    mutate(cert["log"])
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "log.json"
+    path.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", path) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL log matches the sequence and the task witnesses")
+
+
+def test_exhaustive_search_runs_at_depth_7_under_default_bounds(tmp_path, capsys):
+    tree_path = tmp_path / "b3.json"
+    tree_path.write_text(serial.dumps(serial.tree_to_json(binary_tree(3))))
+    out = tmp_path / "embed.json"
+    argv = ("embed", tree_path, "--depth", "7", "--split", "1:p0", "--split", "2:00", "--out", out)
+    assert run(*argv) == 0
+    capsys.readouterr()
+    assert run("verify", out) == 0
+    assert "PASS witness matches the exhaustive search" in capsys.readouterr().out.splitlines()

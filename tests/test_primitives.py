@@ -6,11 +6,22 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ultrafraisse.balltree import ball_quotients, from_sequence, u_metric
+from ultrafraisse.balltree import (
+    NowhereDenseFailure,
+    NowhereDenseWitness,
+    ball_quotients,
+    factoring_level,
+    from_sequence,
+    is_uniformly_nowhere_dense,
+    nowhere_dense_to_uniform,
+    u_metric,
+    validate_witness,
+)
 from ultrafraisse.errors import InputError
 from ultrafraisse.fixtures import binary_tree, random_tree
-from ultrafraisse.generic import PartialHomeo, presentation_from_subset
+from ultrafraisse.generic import PartialHomeo, _ball_values, presentation_from_subset
 from ultrafraisse.sequences import InverseSequence, check_coherent
+from ultrafraisse.slices import SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection
 
 
@@ -180,3 +191,266 @@ def test_partial_homeo_matches_pairwise_definition(case):
         with pytest.raises(InputError) as rejected:
             PartialHomeo(src, dst, mapping)
         assert str(rejected.value) == want
+
+
+# Reference versions of the subset searches, as they were written before the
+# met-ball pass: every "ball avoids the subset" test builds the ball's leaf set.
+
+
+def ref_avoiding_descendants(tree, level, label, beta, avoid):
+    return tuple(
+        b for b in tree.descendants(level, label, beta) if not (tree.leafset(beta, b) & avoid)
+    )
+
+
+def ref_is_uniformly_nowhere_dense(tree, subset):
+    avoid = frozenset(subset)
+    unknown = avoid - set(tree.points)
+    if unknown:
+        raise ValueError(f"subset point {sorted(unknown)[0]!r} is not in the tree")
+    target_levels = []
+    choices = []
+    for alpha in range(tree.depth):
+        found_beta = None
+        found_choice = {}
+        for beta in range(alpha + 1, tree.depth + 1):
+            choice = {}
+            for label in tree.levels[alpha].points:
+                free = ref_avoiding_descendants(tree, alpha, label, beta, avoid)
+                if not free:
+                    break
+                choice[label] = free[0]
+            else:
+                found_beta, found_choice = beta, choice
+                break
+        if found_beta is None:
+            worst = next(
+                label
+                for label in tree.levels[alpha].points
+                if not ref_avoiding_descendants(tree, alpha, label, tree.depth, avoid)
+            )
+            return NowhereDenseFailure(level=alpha, ball=worst)
+        target_levels.append(found_beta)
+        choices.append(found_choice)
+    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
+
+
+def ref_validate_witness(tree, subset, witness):
+    avoid = frozenset(subset)
+    issues = []
+    if len(witness.target_levels) != tree.depth or len(witness.choices) != tree.depth:
+        return (f"witness covers {len(witness.target_levels)} levels, tree needs {tree.depth}",)
+    for alpha in range(tree.depth):
+        beta = witness.target_levels[alpha]
+        if not alpha < beta <= tree.depth:
+            issues.append(f"level {alpha}: target level {beta} not in ({alpha}, {tree.depth}]")
+            continue
+        choice = witness.choices[alpha]
+        for label in tree.levels[alpha].points:
+            picked = choice.get(label)
+            if picked is None:
+                issues.append(f"level {alpha}: no choice for ball {label!r}")
+                continue
+            if picked not in tree.levels[beta]:
+                issues.append(f"level {alpha}: choice {picked!r} is not a level-{beta} ball")
+                continue
+            if tree.ancestor(beta, picked, alpha) != label:
+                issues.append(f"level {alpha}: choice {picked!r} is not inside ball {label!r}")
+            if tree.leafset(beta, picked) & avoid:
+                issues.append(f"level {alpha}: choice {picked!r} meets the subset")
+    return tuple(issues)
+
+
+def ref_nowhere_dense_to_uniform(tree, subset, per_ball):
+    avoid = frozenset(subset)
+    target_levels = []
+    choices = []
+    for alpha in range(tree.depth):
+        entries = {}
+        for label in tree.levels[alpha].points:
+            got = per_ball.get((alpha, label))
+            if got is None:
+                raise ValueError(f"per_ball data missing for ball ({alpha}, {label!r})")
+            beta_v, picked = got
+            if not alpha < beta_v <= tree.depth:
+                raise ValueError(f"ball ({alpha}, {label!r}): level {beta_v} not below {label!r}")
+            if picked not in tree.levels[beta_v] or tree.ancestor(beta_v, picked, alpha) != label:
+                raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} not inside it")
+            if tree.leafset(beta_v, picked) & avoid:
+                raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} meets the subset")
+            entries[label] = (beta_v, picked)
+        beta = max(b for b, _ in entries.values())
+        deepened = {}
+        for label, (beta_v, picked) in entries.items():
+            descendants = tree.descendants(beta_v, picked, beta)
+            deepened[label] = descendants[0]
+            assert not (tree.leafset(beta, descendants[0]) & avoid)
+        target_levels.append(beta)
+        choices.append(deepened)
+    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
+
+
+def ref_factoring_level(tree, point_map):
+    missing = [p for p in tree.points if p not in point_map]
+    if missing:
+        raise ValueError(f"map undefined at point {missing[0]!r}")
+    for level in range(tree.depth + 1):
+        if all(
+            len({point_map[p] for p in tree.leafset(level, label)}) == 1
+            for label in tree.levels[level].points
+        ):
+            return level
+    return tree.depth
+
+
+def ref_ball_values(tree, level, point_map):
+    out = {}
+    for label in tree.levels[level].points:
+        values = {point_map[p] for p in tree.leafset(level, label)}
+        if len(values) != 1:
+            raise ValueError(f"map is not constant on ball {label!r} at level {level}")
+        out[label] = values.pop()
+    return out
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc) if isinstance(exc, ValueError) else None
+
+
+@st.composite
+def tree_and_subset(draw):
+    """A random tree (shuffled and rebuilt half the time) and a subset of its
+    points whose density ranges from empty to every point."""
+    seed = draw(st.integers(0, 10_000))
+    tree = random_tree(seed) if draw(st.booleans()) else shuffled_rebuild(seed)
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    subset = [p for p in tree.points if rng.random() < density]
+    return tree, subset, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset())
+def test_nowhere_density_search_matches_leafset_search(case):
+    tree, subset, rng = case
+    want = ref_is_uniformly_nowhere_dense(tree, subset)
+    assert is_uniformly_nowhere_dense(tree, subset) == want
+    assert is_uniformly_nowhere_dense(tree, iter(subset)) == want
+    foreign = subset + ["foreign", "zz"]
+    assert outcome(is_uniformly_nowhere_dense, tree, foreign) == outcome(
+        ref_is_uniformly_nowhere_dense, tree, foreign
+    )
+
+
+def random_witness(tree, subset, rng):
+    """The searched witness when there is one, then corrupted at random: target
+    levels out of range, choices dropped, outside their ball, at the wrong
+    level or meeting the subset."""
+    found = ref_is_uniformly_nowhere_dense(tree, subset)
+    rate = rng.choice([0.0, 0.02, 0.1])
+    levels, choices = [], []
+    for alpha in range(tree.depth):
+        if isinstance(found, NowhereDenseWitness) and rng.random() < 0.7:
+            beta, choice = found.target_levels[alpha], dict(found.choices[alpha])
+        else:
+            beta, choice = rng.randint(alpha + 1, tree.depth), {}
+            for label in tree.levels[alpha].points:
+                choice[label] = rng.choice(tree.descendants(alpha, label, beta))
+        for label in list(choice):
+            roll = rng.random() / rate if rate else 1.0
+            if roll < 0.3:
+                del choice[label]
+            elif roll < 0.6:
+                choice[label] = rng.choice(tree.levels[beta].points)
+            elif roll < 1.0:
+                choice[label] = rng.choice(tree.levels[rng.randint(0, tree.depth)].points)
+        if rng.random() < rate:
+            beta = rng.choice([alpha, tree.depth + 1, -1])
+        levels.append(beta)
+        choices.append(choice)
+    if rng.random() < rate:
+        levels, choices = levels[:-1], choices[:-1]
+    return NowhereDenseWitness(tuple(levels), tuple(choices))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset())
+def test_validate_witness_matches_leafset_check(case):
+    tree, subset, rng = case
+    for _ in range(3):
+        witness = random_witness(tree, subset, rng)
+        got = validate_witness(tree, subset + ["foreign"], witness).issues
+        assert got == ref_validate_witness(tree, subset + ["foreign"], witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset())
+def test_nowhere_dense_to_uniform_matches_leafset_version(case):
+    tree, subset, rng = case
+    rate = rng.choice([0.0, 0.01, 0.1])
+    per_ball = {}
+    for alpha in range(tree.depth):
+        for label in tree.levels[alpha].points:
+            beta = rng.randint(alpha + 1, tree.depth)
+            below = tree.descendants(alpha, label, beta)
+            free = [b for b in below if not (tree.leafset(beta, b) & frozenset(subset))]
+            roll = rng.random() / rate if rate else 1.0
+            if roll >= 1.0 and free:
+                per_ball[alpha, label] = (beta, rng.choice(free))
+            elif roll < 0.5:
+                per_ball[alpha, label] = (beta, rng.choice(tree.levels[beta].points))
+            elif roll < 0.7:
+                per_ball[alpha, label] = (rng.choice([alpha, tree.depth + 1]), below[0])
+    assert outcome(nowhere_dense_to_uniform, tree, subset, per_ball) == outcome(
+        ref_nowhere_dense_to_uniform, tree, subset, per_ball
+    )
+
+
+def random_point_map(tree, rng):
+    """Constant on the balls of a random level, with a few points then changed
+    or dropped."""
+    level = rng.randint(0, tree.depth)
+    values = {b: rng.choice("abc") for b in tree.levels[level].points}
+    point_map = {p: values[tree.ancestor(tree.depth, p, level)] for p in tree.points}
+    rate = rng.choice([0.0, 0.02, 0.1])
+    for p in tree.points:
+        roll = rng.random() / rate if rate else 1.0
+        if roll < 0.8:
+            point_map[p] = "z"
+        elif roll < 1.0:
+            del point_map[p]
+    return point_map
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset())
+def test_factoring_level_and_ball_values_match_leafset_versions(case):
+    tree, _, rng = case
+    for _ in range(3):
+        point_map = random_point_map(tree, rng)
+        assert outcome(factoring_level, tree, point_map) == outcome(ref_factoring_level, tree, point_map)
+        for level in range(tree.depth + 1):
+            assert outcome(_ball_values, tree, level, point_map) == outcome(
+                ref_ball_values, tree, level, point_map
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_and_subset())
+def test_point_value_matches_ancestor_lookup(case):
+    tree, _, rng = case
+    level = rng.randint(0, tree.depth)
+    target = FiniteSpace(id="t", points=("t0", "t1", "t2"))
+    quotient = PointMap(
+        tree.levels[level], target, {b: rng.choice(target.points) for b in tree.levels[level].points}
+    )
+    phi = SliceObject(base=tree, level=level, target=target, quotient_map=quotient)
+    for p in tree.points:
+        assert phi.point_value(p) == quotient(tree.ancestor(tree.depth, p, level))
+    message = re.escape(f"'foreign' is not a ball at level {tree.depth}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        phi.point_value("foreign")
