@@ -11,7 +11,7 @@ closer, and u(a, b) = d exactly when a = b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .spaces import FiniteSpace, Surjection
 from .sequences import InverseSequence, Report, Thread
@@ -215,6 +215,30 @@ class NowhereDenseFailure:
 
     level: int
     ball: str
+
+
+def nearest_points(tree: BallTree, anchors: Sequence[str]) -> dict[str, str]:
+    """For each point of the tree, the anchor point sharing its deepest ball.
+
+    Ties go to the first anchor in `anchors` order, as the largest key
+    (u_metric, -position) would pick them.  Each ball's first anchor is
+    recorded once, and each point walks its own chain up from the leaf to
+    the first ball holding an anchor (the root holds them all), so the cost
+    is O((points + anchors) x depth).
+    """
+    chains = tree._chains[-1]
+    first: list[dict[str, str]] = [{} for _ in tree.levels]
+    for anchor in anchors:
+        for level, label in enumerate(chains[anchor]):
+            first[level].setdefault(label, anchor)
+    out = {}
+    for point in tree.points:
+        chain = chains[point]
+        level = tree.depth
+        while chain[level] not in first[level]:
+            level -= 1
+        out[point] = first[level][chain[level]]
+    return out
 
 
 def met_balls(tree: BallTree, subset: Iterable[str]) -> tuple[frozenset[str], ...]:

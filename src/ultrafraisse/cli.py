@@ -81,6 +81,9 @@ def _read_json(path: str):
         raise SchemaError(
             f"{path}: malformed JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the interpreter's digit limit, or nesting past the recursion limit
+        raise SchemaError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _task_schedule(splits: tuple[str, ...]) -> TaskSchedule:
@@ -232,6 +235,10 @@ def _check(checks: list[Check], name: str, fn) -> bool:
         fn()
     except (AssertionError, ValueError, KeyError) as exc:
         checks.append((name, "fail", str(exc) or repr(exc)))
+        return False
+    except Exception as exc:
+        # any other error inside a check is a failed check too, never a traceback
+        checks.append((name, "fail", f"{type(exc).__name__}: {exc}"))
         return False
     checks.append((name, "pass", ""))
     return True

@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 from .balltree import BallTree, factoring_level
 from .errors import DepthError
 from .sequences import InverseSequence, SlicedSequence
-from .slices import SliceArrow, SliceObject, amalgamate_slice, compose_arrows, identity_arrow
-from .spaces import FiniteSpace, PointMap, Surjection, compose
+from .slices import SliceArrow, SliceObject, amalgamate_slice
+from .spaces import FiniteSpace, PointMap, Surjection, compose, identity
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,9 @@ class PaddingSchedule:
             raise ValueError("pad base must be at least 2")
         if self.growth < 2:
             raise ValueError("pad growth must be at least 2")
+        # index -> pad block, filled by pad_space; a race between threads only
+        # builds a block twice
+        object.__setattr__(self, "_pads", {})
 
     def pad(self, index: int) -> int:
         if index < 0:
@@ -61,10 +64,14 @@ class PaddingSchedule:
 
 
 def pad_space(schedule: PaddingSchedule, index: int) -> FiniteSpace:
-    return FiniteSpace(
-        id=f"pad{index}",
-        points=tuple(f"p{i}" for i in range(schedule.pad(index))),
-    )
+    """The pad block p0..p{n-1} at one index, built once per schedule."""
+    space = schedule._pads.get(index)
+    if space is None:
+        space = schedule._pads[index] = FiniteSpace(
+            id=f"pad{index}",
+            points=tuple(f"p{i}" for i in range(schedule.pad(index))),
+        )
+    return space
 
 
 @dataclass(frozen=True)
@@ -403,24 +410,23 @@ def build_fraisse(
 
         beta = track(t + 1)
         combined = phis[t]
-        into = identity_arrow(combined)
-        projections: dict[str, SliceArrow] = {}
-        absorbed: list[tuple[str, FraisseTask]] = []
+        into_q: PointMap = identity(combined.target)
+        # per absorbed task: (tag, task, to_prev, to_task) out of its amalgamation
+        absorbed: list[tuple[str, FraisseTask, SliceArrow, SliceArrow]] = []
         deferred: list[tuple[str, FraisseTask]] = []
         for tag, task in pending:
             if task.arrow.src.level > beta:
                 deferred.append((tag, task))
                 continue
             bond = current.seq.bonding(task.stage, t)
-            cospan = SliceArrow(combined, phis[task.stage], compose(bond, into.q))
+            cospan = SliceArrow(combined, phis[task.stage], compose(bond, into_q))
             combined, to_prev, to_task = amalgamate_slice(
                 combined, task.arrow.src, phis[task.stage], cospan, task.arrow
             )
-            projections = {tg: compose_arrows(arr, to_prev) for tg, arr in projections.items()}
-            into = compose_arrows(into, to_prev)
-            projections[tag] = to_task
-            absorbed.append((tag, task))
+            into_q = compose(into_q, to_prev.q)
+            absorbed.append((tag, task, to_prev, to_task))
         pending = deferred
+        into = SliceArrow(combined, phis[t], into_q)
 
         floor = max(
             padded[t].pad_index + 1,
@@ -429,17 +435,24 @@ def build_fraisse(
         next_padded, close = dominate_arrow(
             into, padded[t], schedule, ball_level=beta, pad_floor=floor
         )
-        step = compose(into.q, close.q)
+        # Walk the amalgamations back from the new stage: `through` maps it
+        # into the i-th amalgam, so each witness costs one compose.
+        through = close.q
+        witness_qs: dict[str, PointMap] = {}
+        for tag, task, to_prev, to_task in reversed(absorbed):
+            witness_qs[tag] = compose(to_task.q, through)
+            SliceArrow(next_padded.object, task.arrow.src, witness_qs[tag])
+            through = compose(to_prev.q, through)
         padded.append(next_padded)
         spaces.append(next_padded.object.target)
-        steps.append(step)
+        steps.append(through)
         phis.append(next_padded.object)
         log.append(
             f"stage {t + 1}: ball_level={next_padded.ball_level} "
             f"pad_index={next_padded.pad_index} size={len(next_padded.object.target)}"
         )
-        for tag, task in absorbed:
-            witness_q = compose(projections[tag].q, close.q)
+        for tag, task, _, _ in absorbed:
+            witness_q = witness_qs[tag]
             witnesses[tag] = TaskWitness(tag=tag, stage=task.stage, beta=t + 1, mapping=witness_q)
             log.append(f"task {tag}: stage={task.stage} beta={t + 1} digest={_digest(witness_q.mapping)}")
 
@@ -501,21 +514,43 @@ def _forced_values(phi: SliceObject, probe: SliceObject) -> tuple[dict[str, str]
 def _saturate(
     needed: list[str], free: list[str], candidates: dict[str, frozenset[str]]
 ) -> tuple[dict[str, str] | None, str]:
-    """Assign distinct free points to cover `needed`, by augmenting paths."""
-    owner: dict[str, str] = {}
+    """Assign distinct free points to cover `needed`, by augmenting paths.
 
-    def assign(y: str, seen: set[str]) -> bool:
-        for x in free:
-            if x in seen or y not in candidates[x]:
+    Each path is a depth-first search that tries, in `free` order, the free
+    points whose candidates hold the point being placed.  It is kept on an
+    explicit stack so that no stage size can reach the recursion limit.
+    """
+    takers: dict[str, list[str]] = {}  # y -> the free points accepting y, in free order
+    for x in free:
+        for y in candidates[x]:
+            takers.setdefault(y, []).append(x)
+    owner: dict[str, str] = {}
+    for y in needed:
+        seen: set[str] = set()
+        # stack[i] = (point being placed, its remaining takers);
+        # path[i] is the owned point stack[i] tries to take from stack[i + 1]
+        stack = [(y, iter(takers.get(y, ())))]
+        path: list[str] = []
+        while stack:
+            want, choices = stack[-1]
+            for x in choices:
+                if x not in seen:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(x)
-            if x not in owner or assign(owner[x], seen):
-                owner[x] = y
-                return True
-        return False
-
-    for y in needed:
-        if not assign(y, set()):
+            if x in owner:
+                path.append(x)
+                stack.append((owner[x], iter(takers[owner[x]])))
+                continue
+            owner[x] = want
+            for (placed, _), taken in zip(stack, path):
+                owner[taken] = placed
+            break
+        else:
             return None, y
     return owner, ""
 

@@ -22,6 +22,7 @@ from .balltree import (
     from_sequence,
     is_uniformly_nowhere_dense,
     met_balls,
+    nearest_points,
     thread_embedding,
     u_metric,
 )
@@ -517,13 +518,10 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
     through the recorded reindex levels, which certify uniform continuity.
     """
     ambient, base = pres.ambient, pres.space
-    nearest: dict[str, str] = {}
-    for w in ambient.points:
-        best = max(
-            base.points,
-            key=lambda x: (u_metric(ambient, w, pres.eta_point(x)), -base.levels[-1].index(x)),
-        )
-        nearest[w] = best
+    base_of: dict[str, str] = {}  # embedded point -> the first base point carried there
+    for x in base.points:
+        base_of.setdefault(pres.eta_point(x), x)
+    nearest = {w: base_of[e] for w, e in nearest_points(ambient, tuple(base_of)).items()}
     reindex = []
     maps = []
     for m in range(base.depth + 1):

@@ -55,7 +55,8 @@ class PointMap:
         missing = [p for p in dom.points if p not in mapping]
         if missing:
             raise ValueError(f"map {dom.id!r}->{cod.id!r} undefined at {missing[0]!r}")
-        extra = [p for p in mapping if p not in dom]
+        # defined at every point of dom, so only a larger mapping has foreign points
+        extra = [p for p in mapping if p not in dom] if len(mapping) != len(dom) else []
         if extra:
             raise ValueError(f"map {dom.id!r}->{cod.id!r} defined at foreign point {extra[0]!r}")
         bad = [v for v in mapping.values() if v not in cod]
@@ -65,6 +66,14 @@ class PointMap:
         self.cod = cod
         self.mapping = dict(mapping)
         self._fibers: dict[str, tuple[str, ...]] | None = None
+
+    @classmethod
+    def _built(cls, dom: FiniteSpace, cod: FiniteSpace, mapping: dict[str, str]):
+        """A map whose mapping is total on `dom`, with values in `cod`, by
+        construction (and onto `cod` for a Surjection); nothing is re-checked."""
+        out = cls.__new__(cls)
+        out.dom, out.cod, out.mapping, out._fibers = dom, cod, mapping, None
+        return out
 
     def __call__(self, point: str) -> str:
         return self.mapping[point]
@@ -115,12 +124,17 @@ def identity(space: FiniteSpace) -> Surjection:
 
 
 def compose(g: PointMap, f: PointMap) -> PointMap:
-    """Pointwise composition g o f; a Surjection when both inputs are."""
+    """Pointwise composition g o f; a Surjection when both inputs are.
+
+    The composite of two valid maps is total on f.dom with values in g.cod,
+    and onto when both are, so it is built without a second validation.
+    """
     if f.cod != g.dom:
         raise ValueError(f"cannot compose: {f.cod.id!r} is not {g.dom.id!r}")
-    mapping = {p: g(f(p)) for p in f.dom.points}
+    gm, fm = g.mapping, f.mapping
+    mapping = {p: gm[fm[p]] for p in f.dom.points}
     cls = Surjection if isinstance(f, Surjection) and isinstance(g, Surjection) else PointMap
-    return cls(f.dom, g.cod, mapping)
+    return cls._built(f.dom, g.cod, mapping)
 
 
 def pair_label(x: str, y: str) -> str:
@@ -133,17 +147,13 @@ def pullback(q1: Surjection, q2: Surjection) -> tuple[FiniteSpace, Surjection, S
     Returns (W, f1, g1) where W holds the pairs (x, y) with q1(x) = q2(y),
     labelled "(x,y)" in lexicographic order of (index of x, index of y),
     and f1, g1 are the two projections.  Both projections are onto because
-    q1 and q2 are.
+    q1 and q2 are.  The pairs over each x are the fiber of q2 over q1(x),
+    which lists y in domain order, so one pass costs O(|X| + |Y| + |W|).
     """
     if q1.cod != q2.cod:
         raise ValueError(f"pullback needs a shared codomain, got {q1.cod.id!r} and {q2.cod.id!r}")
     x_space, y_space = q1.dom, q2.dom
-    pairs = [
-        (x, y)
-        for x in x_space.points
-        for y in y_space.points
-        if q1(x) == q2(y)
-    ]
+    pairs = [(x, y) for x in x_space.points for y in q2.fiber(q1(x))]
     w = FiniteSpace(
         id=f"pb({x_space.id},{y_space.id})",
         points=tuple(pair_label(x, y) for x, y in pairs),

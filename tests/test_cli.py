@@ -579,3 +579,50 @@ def test_exhaustive_search_runs_at_depth_7_under_default_bounds(tmp_path, capsys
     capsys.readouterr()
     assert run("verify", out) == 0
     assert "PASS witness matches the exhaustive search" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no integer digit limit"
+)
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, certificates, capsys):
+    cert = json.loads(json.dumps(certificates["embedding-certificate"]))
+    text = serial.dumps(cert).replace(
+        f'"pad_base": {cert["params"]["pad_base"]}', '"pad_base": ' + "9" * 5000
+    )
+    assert "9" * 5000 in text
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run("verify", path) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * (sys.getrecursionlimit() + 100))
+    assert run("verify", path) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_any_exception_inside_a_check_is_a_fail_line(tmp_path, k4_path, monkeypatch, capsys):
+    import ultrafraisse.cli as cli
+
+    def crash():
+        raise TypeError("unhashable type: 'list'")
+
+    checks = []
+    assert cli._check(checks, "some check", crash) is False
+    assert checks == [("some check", "fail", "TypeError: unhashable type: 'list'")]
+
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--depth", "3", "--out", out) == 0
+
+    def broken_comparison(a, b):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setattr(serial, "trees_equal", broken_comparison)
+    capsys.readouterr()
+    assert run("verify", out) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL ambient tree equals the rebuilt sequence tree: IndexError: tuple index out of range"
+    ]

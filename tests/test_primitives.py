@@ -2,10 +2,12 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrafraisse import engine, serial
 from ultrafraisse.balltree import (
     NowhereDenseFailure,
     NowhereDenseWitness,
@@ -13,16 +15,25 @@ from ultrafraisse.balltree import (
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
+    nearest_points,
     nowhere_dense_to_uniform,
     u_metric,
     validate_witness,
 )
+from ultrafraisse.engine import PaddingSchedule, TaskSchedule, build_fraisse, point_split_task
 from ultrafraisse.errors import InputError
-from ultrafraisse.fixtures import binary_tree, random_tree
-from ultrafraisse.generic import PartialHomeo, _ball_values, presentation_from_subset
+from ultrafraisse.fixtures import binary_tree, k4, random_tree
+from ultrafraisse.generic import (
+    PartialHomeo,
+    _ball_values,
+    embed_generic,
+    presentation_from_subset,
+    retract_onto,
+    retraction_table,
+)
 from ultrafraisse.sequences import InverseSequence, check_coherent
-from ultrafraisse.slices import SliceObject
-from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection
+from ultrafraisse.slices import SliceArrow, SliceObject
+from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
 
 
 def shuffled_rebuild(seed: int):
@@ -454,3 +465,219 @@ def test_point_value_matches_ancestor_lookup(case):
     message = re.escape(f"'foreign' is not a ball at level {tree.depth}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         phi.point_value("foreign")
+
+
+def validated_compose(g: PointMap, f: PointMap) -> PointMap:
+    """compose with the composite re-checked by the map constructor."""
+    cls = Surjection if isinstance(f, Surjection) and isinstance(g, Surjection) else PointMap
+    return cls(f.dom, g.cod, {p: g(f(p)) for p in f.dom.points})
+
+
+def ref_pullback(q1: Surjection, q2: Surjection):
+    """The pullback by testing every pair of X x Y."""
+    x_space, y_space = q1.dom, q2.dom
+    pairs = [(x, y) for x in x_space.points for y in y_space.points if q1(x) == q2(y)]
+    w = FiniteSpace(
+        id=f"pb({x_space.id},{y_space.id})", points=tuple(pair_label(x, y) for x, y in pairs)
+    )
+    f1 = Surjection(w, x_space, {pair_label(x, y): x for x, y in pairs})
+    g1 = Surjection(w, y_space, {pair_label(x, y): y for x, y in pairs})
+    return w, f1, g1
+
+
+def ref_bonding(seq: InverseSequence, a: int, b: int) -> PointMap:
+    """steps[a] o ... o steps[b-1], folded from the identity as a fresh map."""
+    out: PointMap = identity(seq.spaces[b])
+    for level in range(b - 1, a - 1, -1):
+        out = validated_compose(seq.steps[level], out)
+    return out
+
+
+@st.composite
+def point_maps(draw, dom: FiniteSpace, cod: FiniteSpace, onto: bool):
+    """A map dom -> cod, onto when asked (then len(dom) >= len(cod))."""
+    values = draw(st.lists(st.sampled_from(cod.points), min_size=len(dom), max_size=len(dom)))
+    if onto:
+        order = draw(st.permutations(range(len(dom))))
+        for q, i in zip(cod.points, order):
+            values[i] = q
+    return (Surjection if onto else PointMap)(dom, cod, dict(zip(dom.points, values)))
+
+
+@st.composite
+def spaces(draw, name: str, min_size: int = 1, max_size: int = 7):
+    n = draw(st.integers(min_size, max_size))
+    points = draw(st.permutations([f"{name}{i}" for i in range(n)]))
+    return FiniteSpace(id=name, points=tuple(points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pullback_matches_pairwise_definition(data):
+    z = data.draw(spaces("z", max_size=4))
+    x = data.draw(spaces("x", min_size=len(z)))
+    y = data.draw(spaces("y", min_size=len(z)))
+    q1 = data.draw(point_maps(x, z, onto=True))
+    q2 = data.draw(point_maps(y, z, onto=True))
+    w, f1, g1 = pullback(q1, q2)
+    rw, rf1, rg1 = ref_pullback(q1, q2)
+    assert (w.id, w.points) == (rw.id, rw.points)
+    for got, want in ((f1, rf1), (g1, rg1)):
+        assert type(got) is type(want) is Surjection
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_matches_validated_construction(data):
+    a, b, c = data.draw(spaces("a", min_size=4)), data.draw(spaces("b", 2, 4)), data.draw(spaces("c", 1, 2))
+    f = data.draw(point_maps(a, b, onto=data.draw(st.booleans())))
+    g = data.draw(point_maps(b, c, onto=data.draw(st.booleans())))
+    got, want = compose(g, f), validated_compose(g, f)
+    assert type(got) is type(want)
+    assert got == want and list(got.mapping) == list(a.points)
+    for q in c.points:
+        assert got.fiber(q) == scan_fiber(want, q)
+    with pytest.raises(ValueError, match="cannot compose"):
+        compose(f, g)
+
+
+def check_bondings(seq: InverseSequence, order: list[tuple[int, int]]) -> None:
+    for a, b in order + order:
+        got, want = seq.bonding(a, b), ref_bonding(seq, a, b)
+        assert type(got) is type(want)
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_memoised_bonding_matches_a_fresh_fold(data):
+    chain = [data.draw(spaces("s0", max_size=3))]
+    steps = []
+    for a in range(data.draw(st.integers(0, 5))):
+        chain.append(data.draw(spaces(f"s{a + 1}", min_size=len(chain[-1]))))
+        steps.append(data.draw(point_maps(chain[-1], chain[-2], onto=data.draw(st.booleans()))))
+    seq = InverseSequence(tuple(chain), tuple(steps))
+    pairs = [(a, b) for b in range(seq.length + 1) for a in range(b + 1)]
+    check_bondings(seq, data.draw(st.permutations(pairs)))
+
+
+def test_memoised_bonding_of_parsed_certificate_steps():
+    schedule = PaddingSchedule()
+    build = build_fraisse(k4(), 5, schedule, TaskSchedule((point_split_task(1, "p0"),)))
+    spaces_, steps, _ = serial.sliced_parts_from_json(serial.sliced_to_json(build.sequence), k4())
+    assert all(type(step) is PointMap for step in steps)
+    for seq in (InverseSequence(spaces_, steps), build.sequence.seq):
+        pairs = [(a, b) for b in range(seq.length + 1) for a in range(b + 1)]
+        random.Random(seq.length).shuffle(pairs)
+        check_bondings(seq, pairs)
+
+
+def build_counts(monkeypatch, k: int) -> tuple[int, int]:
+    """(slice arrows, composes) made by a build whose stage 1 absorbs k splits."""
+    arrows, composes = [], []
+    post_init = SliceArrow.__post_init__
+
+    def counting_post_init(self):
+        arrows.append(1)
+        post_init(self)
+
+    def counting_compose(g, f):
+        composes.append(1)
+        return compose(g, f)
+
+    monkeypatch.setattr(SliceArrow, "__post_init__", counting_post_init)
+    monkeypatch.setattr(engine, "compose", counting_compose)
+    points = ("0", "1", "p0", "p1", "p2", "p3")[:k]
+    build = build_fraisse(
+        k4(), 2, PaddingSchedule(), TaskSchedule(tuple(point_split_task(1, p) for p in points))
+    )
+    monkeypatch.undo()
+    assert len(build.witnesses) == k
+    assert {w.beta for w in build.witnesses.values()} == {2}
+    return len(arrows), len(composes)
+
+
+def test_one_stage_absorbing_k_tasks_does_linear_work(monkeypatch):
+    counts = [build_counts(monkeypatch, k) for k in range(1, 7)]
+    for column in zip(*counts):
+        steps = {later - earlier for earlier, later in zip(column, column[1:])}
+        assert len(steps) == 1, column  # the same work per extra task, not growing with k
+    arrows_per_task, composes_per_task = (counts[1][i] - counts[0][i] for i in range(2))
+    assert arrows_per_task <= 5 and composes_per_task <= 4
+
+
+def recursive_saturate(needed, free, candidates):
+    """The augmenting-path matching by recursion, as the build first had it."""
+    owner: dict[str, str] = {}
+
+    def assign(y, seen):
+        for x in free:
+            if x in seen or y not in candidates[x]:
+                continue
+            seen.add(x)
+            if x not in owner or assign(owner[x], seen):
+                owner[x] = y
+                return True
+        return False
+
+    for y in needed:
+        if not assign(y, set()):
+            return None, y
+    return owner, ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_iterative_saturate_matches_recursive_version(data):
+    targets = [f"y{i}" for i in range(data.draw(st.integers(1, 7)))]
+    free = data.draw(st.permutations([f"x{i}" for i in range(data.draw(st.integers(0, 8)))]))
+    candidates = {
+        x: frozenset(data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=3)))
+        for x in free
+    }
+    needed = data.draw(st.lists(st.sampled_from(targets), unique=True))
+    got, want = engine._saturate(needed, free, candidates), recursive_saturate(needed, free, candidates)
+    assert got == want
+    if got[0] is not None:
+        assert list(got[0].items()) == list(want[0].items())
+
+
+def test_saturate_follows_paths_longer_than_the_recursion_limit():
+    # x_i accepts y_i and y_{i+1}; placing y_1..y_n first leaves y_0 an
+    # augmenting path through every free point
+    n = sys.getrecursionlimit() + 100
+    free = [f"x{i}" for i in range(n + 1)]
+    candidates = {f"x{i}": frozenset({f"y{i}", f"y{i + 1}"}) for i in range(n)}
+    candidates[f"x{n}"] = frozenset({f"y{n}"})
+    needed = [f"y{i}" for i in range(1, n + 1)] + ["y0"]
+    with pytest.raises(RecursionError):
+        recursive_saturate(needed, free, candidates)
+    owner, stuck = engine._saturate(needed, free, candidates)
+    assert stuck == ""
+    assert owner == {f"x{i}": f"y{i}" for i in range(n + 1)}
+
+
+def ref_nearest(tree, anchors):
+    """The anchor maximising (u_metric, -position), as retract_onto first chose it."""
+    return {
+        w: max(anchors, key=lambda x: (u_metric(tree, w, x), -anchors.index(x)))
+        for w in tree.points
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset())
+def test_nearest_points_match_the_metric_maximum(case):
+    tree, _, rng = case
+    anchors = rng.sample(tree.points, rng.randint(1, len(tree.points)))
+    assert nearest_points(tree, anchors) == ref_nearest(tree, anchors)
+
+
+def test_retraction_sends_each_point_to_its_nearest_embedded_point():
+    for tree in (k4(), binary_tree(3), random_tree(5, max_depth=3, max_points=12)):
+        pres = embed_generic(tree, 4, PaddingSchedule())
+        anchors = [pres.eta_point(x) for x in tree.points]
+        base_of = dict(zip(anchors, tree.points))
+        want = {w: base_of[e] for w, e in ref_nearest(pres.ambient, anchors).items()}
+        assert retraction_table(pres, retract_onto(pres)) == want
