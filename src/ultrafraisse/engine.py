@@ -44,9 +44,6 @@ class PaddingSchedule:
             raise ValueError("pad base must be at least 2")
         if self.growth < 2:
             raise ValueError("pad growth must be at least 2")
-        # index -> pad block, filled by pad_space; a race between threads only
-        # builds a block twice
-        object.__setattr__(self, "_pads", {})
 
     def pad(self, index: int) -> int:
         if index < 0:
@@ -64,14 +61,10 @@ class PaddingSchedule:
 
 
 def pad_space(schedule: PaddingSchedule, index: int) -> FiniteSpace:
-    """The pad block p0..p{n-1} at one index, built once per schedule."""
-    space = schedule._pads.get(index)
-    if space is None:
-        space = schedule._pads[index] = FiniteSpace(
-            id=f"pad{index}",
-            points=tuple(f"p{i}" for i in range(schedule.pad(index))),
-        )
-    return space
+    return FiniteSpace(
+        id=f"pad{index}",
+        points=tuple(f"p{i}" for i in range(schedule.pad(index))),
+    )
 
 
 @dataclass(frozen=True)

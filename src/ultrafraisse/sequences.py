@@ -38,9 +38,6 @@ class InverseSequence:
         for a, step in enumerate(self.steps):
             if step.dom != self.spaces[a + 1] or step.cod != self.spaces[a]:
                 raise ValueError(f"step {a} does not map spaces[{a + 1}] onto spaces[{a}]")
-        # (a, b) -> bonding(a, b) for a < b, filled on demand; a race between
-        # threads only computes an entry twice
-        object.__setattr__(self, "_bondings", {})
 
     @property
     def length(self) -> int:
@@ -49,20 +46,16 @@ class InverseSequence:
     def bonding(self, a: int, b: int) -> PointMap:
         """Composite map U_b -> U_a for a <= b (identity when a == b).
 
-        bonding(a, b) = bonding(a, b - 1) o steps[b - 1], each kept once built,
-        so a call composes only the maps no earlier call has; a Surjection
-        exactly when every step in between is one.
+        steps[a] o ... o steps[b - 1], folded down from steps[b - 1] in
+        b - a - 1 composes; a Surjection exactly when every step is one.
         """
         if not 0 <= a <= b <= self.length:
             raise ValueError(f"bad bonding levels ({a}, {b}) for length {self.length}")
         if a == b:
             return identity(self.spaces[b])
-        out = self.steps[a]
-        for c in range(a + 1, b):
-            nxt = self._bondings.get((a, c + 1))
-            if nxt is None:
-                nxt = self._bondings[a, c + 1] = compose(out, self.steps[c])
-            out = nxt
+        out = self.steps[b - 1]
+        for level in range(b - 2, a - 1, -1):
+            out = compose(self.steps[level], out)
         return out
 
 

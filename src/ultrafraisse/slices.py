@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balltree import BallTree
-from .spaces import FiniteSpace, PointMap, Surjection, compose, pair_label, pullback, product
+from .spaces import FiniteSpace, PointMap, Surjection, pair_label, pullback, product
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,6 @@ def identity_arrow(obj: SliceObject) -> SliceArrow:
     from .spaces import identity
 
     return SliceArrow(obj, obj, identity(obj.target))
-
-
-def compose_arrows(outer: SliceArrow, inner: SliceArrow) -> SliceArrow:
-    """Composite of inner: a -> b and outer: b -> c."""
-    if inner.dst != outer.src:
-        raise ValueError("arrows do not line up")
-    return SliceArrow(inner.src, outer.dst, compose(outer.q, inner.q))
 
 
 def amalgamate_slice(

@@ -55,8 +55,7 @@ class PointMap:
         missing = [p for p in dom.points if p not in mapping]
         if missing:
             raise ValueError(f"map {dom.id!r}->{cod.id!r} undefined at {missing[0]!r}")
-        # defined at every point of dom, so only a larger mapping has foreign points
-        extra = [p for p in mapping if p not in dom] if len(mapping) != len(dom) else []
+        extra = [p for p in mapping if p not in dom]
         if extra:
             raise ValueError(f"map {dom.id!r}->{cod.id!r} defined at foreign point {extra[0]!r}")
         bad = [v for v in mapping.values() if v not in cod]

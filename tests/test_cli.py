@@ -597,8 +597,11 @@ def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, certificates, c
 
 
 def test_nesting_past_the_recursion_limit_is_a_parse_error(tmp_path, capsys):
+    # balanced and otherwise valid, deeper than both the interpreter's and the
+    # decoder's own nesting limits, so only the depth can make it fail
+    depth = max(100_000, sys.getrecursionlimit() + 100)
     path = tmp_path / "deep.json"
-    path.write_text("[" * (sys.getrecursionlimit() + 100))
+    path.write_text("[" * depth + "]" * depth)
     assert run("verify", path) == 2
     assert "parse error" in capsys.readouterr().err
 

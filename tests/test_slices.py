@@ -6,7 +6,6 @@ from ultrafraisse.slices import (
     SliceArrow,
     SliceObject,
     amalgamate_slice,
-    compose_arrows,
     direct_slice,
     identity_arrow,
 )
@@ -63,7 +62,6 @@ def test_amalgamate_along_identities(tree_k4):
     for b in tree_k4.levels[1].points:
         val = f.quotient_map(b)
         assert k.quotient_map(b) == pair_label(val, val)
-    assert compose_arrows(f1, identity_arrow(k)).q.mapping == f1.q.mapping
 
 
 def test_amalgamate_level_one_cospan(tree_k4):
