@@ -7,13 +7,11 @@ extension and retraction algorithms with machine-checkable certificates.
 
 from .balltree import (
     BallTree,
-    BoundSchedule,
     NowhereDenseFailure,
     NowhereDenseWitness,
     ball,
     ball_quotients,
     check_axioms,
-    check_bounded,
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
@@ -30,7 +28,6 @@ from .engine import (
     TaskSchedule,
     build_fraisse,
     dominate_arrow,
-    dominate_object,
     dominating_arrow,
     make_ball_cover,
     make_padded_object,
@@ -64,5 +61,5 @@ from .sequences import (
     limit_threads,
     project,
 )
-from .slices import SliceArrow, SliceObject, amalgamate_slice, direct_slice
-from .spaces import FiniteSpace, PointMap, Surjection, compose, identity, product, pullback
+from .slices import SliceArrow, SliceObject, amalgamate_slice
+from .spaces import FiniteSpace, PointMap, Surjection, compose, identity, pullback

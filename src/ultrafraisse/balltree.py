@@ -174,29 +174,6 @@ def thread_embedding(tree: BallTree) -> dict[str, Thread]:
 
 
 @dataclass(frozen=True)
-class BoundSchedule:
-    """Nondecreasing per-level caps on the number of balls."""
-
-    caps: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c <= 0 for c in self.caps):
-            raise ValueError("caps must be positive")
-        if any(self.caps[i] > self.caps[i + 1] for i in range(len(self.caps) - 1)):
-            raise ValueError("caps must be nondecreasing")
-
-
-def check_bounded(tree: BallTree, schedule: BoundSchedule) -> Report:
-    issues = []
-    if len(schedule.caps) < tree.depth + 1:
-        issues.append(f"schedule covers {len(schedule.caps)} levels, tree has {tree.depth + 1}")
-    for alpha, space in enumerate(tree.levels):
-        if alpha < len(schedule.caps) and len(space) > schedule.caps[alpha]:
-            issues.append(f"level {alpha} has {len(space)} balls, cap is {schedule.caps[alpha]}")
-    return Report(tuple(issues))
-
-
-@dataclass(frozen=True)
 class NowhereDenseWitness:
     """A per-level certificate that a point set is uniformly nowhere dense.
 

@@ -21,7 +21,14 @@ from .balltree import (
     thread_embedding,
     validate_witness,
 )
-from .engine import PaddingSchedule, TaskSchedule, _digest, point_split_task, verify_fraisse
+from .engine import (
+    PaddingSchedule,
+    TaskSchedule,
+    point_split_task,
+    stage_log_line,
+    task_log_line,
+    verify_fraisse,
+)
 from .errors import DepthError, InputError, SchemaError
 from .fixtures import binary_tree, k4
 from .generic import (
@@ -342,7 +349,7 @@ def _check_padded_spaces(params: dict, space, spaces: tuple[FiniteSpace, ...]) -
             raise ValueError(f"space {i}: points are not the level-{level} balls and p0..p{count - 1}")
 
 
-def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
+def _verify_embedding(payload: dict) -> list[Check]:
     checks: list[Check] = []
     tasks, probes = payload.get("tasks", []), payload.get("probes", [])
     for key, entries in (("tasks", tasks), ("probes", probes)):
@@ -368,15 +375,11 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
         "nowhere-density witness is valid",
         lambda: _raise_unless(witness_report.ok, "; ".join(witness_report.issues[:3])),
     )
-    cost = (ambient.depth + 1) * sum(len(level) for level in ambient.levels)
-    if cost <= bounds:
-        def minimality():
-            found = is_uniformly_nowhere_dense(ambient, image)
-            if found != witness:
-                raise ValueError("exhaustive search disagrees with the stated witness")
-        _check(checks, "witness matches the exhaustive search", minimality)
-    else:
-        checks.append(("witness matches the exhaustive search", "skipped (bound)", f"cost {cost}"))
+
+    def minimality():
+        if is_uniformly_nowhere_dense(ambient, image) != witness:
+            raise ValueError("exhaustive search disagrees with the stated witness")
+    _check(checks, "witness matches the exhaustive search", minimality)
 
     def stated_lists():
         tags = [entry.get("tag") for entry in tasks]
@@ -425,10 +428,9 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     def log_lines():
         want = []
         for i, sp in enumerate(sliced.seq.spaces[1:], start=1):
-            level, _, pad = sp.id[1:].partition("P")
-            want.append(f"stage {i}: ball_level={level} pad_index={pad} size={len(sp)}")
+            want.append(stage_log_line(i, sp))
             want += [
-                f"task {e['tag']}: stage={e['stage']} beta={i} digest={_digest(e['witness_map'])}"
+                task_log_line(e["tag"], e["stage"], i, e["witness_map"])
                 for e in tasks
                 if e["witness_beta"] == i
             ]
@@ -463,7 +465,7 @@ def _verify_embedding(payload: dict, bounds: int) -> list[Check]:
     return checks
 
 
-def _verify_extension(payload: dict, bounds: int) -> list[Check]:
+def _verify_extension(payload: dict) -> list[Check]:
     checks: list[Check] = []
     ambient = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
     src = presentation_from_subset(
@@ -511,7 +513,7 @@ def _verify_extension(payload: dict, bounds: int) -> list[Check]:
     return checks
 
 
-def _verify_retraction(payload: dict, bounds: int) -> list[Check]:
+def _verify_retraction(payload: dict) -> list[Check]:
     checks: list[Check] = []
     presented = _verify_presentation(checks, payload)
     if presented is None:
@@ -592,7 +594,7 @@ def lift_certificate_payload(pres, f: Surjection, b: dict, g: dict, result) -> d
     return payload
 
 
-def _verify_lift(payload: dict, bounds: int) -> list[Check]:
+def _verify_lift(payload: dict) -> list[Check]:
     checks: list[Check] = []
     ambient = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
     pres = presentation_from_subset(
@@ -608,7 +610,7 @@ def _verify_lift(payload: dict, bounds: int) -> list[Check]:
     b = serial.label_map(payload.get("b", {}), "lift b")
     g = serial.label_map(payload.get("g", {}), "lift g")
     beta = payload.get("beta")
-    serial.require(isinstance(beta, int) and 0 < beta <= ambient.depth, "bad lift level")
+    serial.require(type(beta) is int and 0 < beta <= ambient.depth, "bad lift level")
     table = serial.label_map(payload.get("ball_table", {}), "lift ball_table")
 
     def family(key: str) -> dict[str, tuple[str, ...]]:
@@ -703,7 +705,7 @@ def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
     if not isinstance(kind, str) or kind not in verifiers:
         raise SchemaError(f"unknown certificate kind {kind!r}")
     try:
-        checks += verifiers[kind](payload, config.bounds)
+        checks += verifiers[kind](payload)
     except InputError as exc:
         checks.append(("certificate content re-derivation", "fail", str(exc)))
     failed = [c for c in checks if c[1] == "fail"]
@@ -723,8 +725,7 @@ def _emit(config: RunConfig, payload: dict, summary: str) -> None:
 def _run_verify(config: RunConfig) -> int:
     checks, code = cmd_verify(config)
     for name, status, detail in checks:
-        mark = {"pass": "PASS", "fail": "FAIL", "skipped (bound)": "SKIP"}[status]
-        line = f"{mark} {name}"
+        line = f"{status.upper()} {name}"
         if detail:
             line += f": {detail}"
         print(line)
@@ -798,7 +799,7 @@ options (any command, before or after INPUT; --opt VALUE or --opt=VALUE):
   --depth N             sequence length to build (default 4)
   --pad-base N          padding schedule base (default 2)
   --pad-growth N        padding schedule growth (default 2)
-  --bounds N            search budget for oracles (default 200000)
+  --bounds N            budget for embed's stage-0 probe enumeration (default 200000)
   --out PATH            output path
   --seed-label TEXT     label recorded in certificates verbatim
   --split STAGE:POINT   schedule a point-splitting task (repeatable)

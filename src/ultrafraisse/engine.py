@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .balltree import BallTree, factoring_level
+from .balltree import BallTree
 from .errors import DepthError
 from .sequences import InverseSequence, SlicedSequence
 from .slices import SliceArrow, SliceObject, amalgamate_slice
@@ -37,7 +37,6 @@ class PaddingSchedule:
 
     base: int = 2
     growth: int = 2
-    max_index: int | None = None
 
     def __post_init__(self):
         if self.base < 2:
@@ -48,13 +47,11 @@ class PaddingSchedule:
     def pad(self, index: int) -> int:
         if index < 0:
             raise ValueError("pad index must be nonnegative")
-        if self.max_index is not None and index > self.max_index:
-            raise DepthError(f"padding schedule ends at index {self.max_index}, asked for {index}")
         return self.base * self.growth**index
 
-    def min_index_for(self, count: int, floor: int = 0) -> int:
-        """Smallest index >= floor whose pad size reaches `count`."""
-        index = max(floor, 0)
+    def min_index_for(self, count: int) -> int:
+        """Smallest index whose pad size reaches `count`."""
+        index = 0
         while self.pad(index) < count:
             index += 1
         return index
@@ -163,29 +160,6 @@ def dominating_arrow(
     return SliceArrow(src.object, dst.object, q)
 
 
-def dominate_object(
-    f: SliceObject, tree: BallTree, schedule: PaddingSchedule
-) -> tuple[PaddedObject, SliceArrow]:
-    """A padded object covering `f`: balls carry the values of f, pads cover
-    the unreached part of the target (or the least target point if none)."""
-    if f.base != tree:
-        raise ValueError("slice object lives over a different tree")
-    table = f.point_table()
-    beta = factoring_level(tree, table)
-    image = set(table.values())
-    leftover = [t for t in f.target.points if t not in image]
-    gamma = schedule.min_index_for(max(len(leftover), 1))
-    padded = make_padded_object(tree, beta, gamma, schedule)
-    mapping = {}
-    for b in padded.ball_labels:
-        leaf = tree.descendants(beta, b, tree.depth)[0]
-        mapping[b] = table[leaf]
-    for i, x in enumerate(padded.pad_labels):
-        mapping[x] = leftover[i % len(leftover)] if leftover else f.target.points[0]
-    q = Surjection(padded.object.target, f.target, mapping)
-    return padded, SliceArrow(padded.object, f, q)
-
-
 def dominate_arrow(
     arrow: SliceArrow,
     dst: PaddedObject,
@@ -229,11 +203,6 @@ def dominate_arrow(
         short += [z for z in dst.ball_labels if len(tag0[z]) < ball_need[z]]
         if not short:
             break
-        if schedule.max_index is not None and delta >= schedule.max_index:
-            raise DepthError(
-                f"padding schedule too small: fiber over {short[0]!r} needs "
-                f"{max(pad_need.get(short[0], 0), ball_need.get(short[0], 0))} points"
-            )
         delta += 1
 
     padded = make_padded_object(tree, beta, delta, schedule)
@@ -349,9 +318,17 @@ class BuildResult:
     log: tuple[str, ...]
 
 
-def _digest(mapping: Mapping[str, str]) -> str:
-    text = ";".join(f"{k}->{v}" for k, v in sorted(mapping.items()))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+def stage_log_line(stage: int, space: FiniteSpace) -> str:
+    """The build log's line for a new stage, read off its padded space."""
+    ball_level, _, pad_index = space.id[1:].partition("P")  # id L{ball level}P{pad index}
+    return f"stage {stage}: ball_level={ball_level} pad_index={pad_index} size={len(space)}"
+
+
+def task_log_line(tag: str, stage: int, beta: int, witness: Mapping[str, str]) -> str:
+    """The build log's line for an absorbed task, with a short digest of its witness."""
+    text = ";".join(f"{k}->{v}" for k, v in sorted(witness.items()))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    return f"task {tag}: stage={stage} beta={beta} digest={digest}"
 
 
 def build_fraisse(
@@ -440,14 +417,11 @@ def build_fraisse(
         spaces.append(next_padded.object.target)
         steps.append(through)
         phis.append(next_padded.object)
-        log.append(
-            f"stage {t + 1}: ball_level={next_padded.ball_level} "
-            f"pad_index={next_padded.pad_index} size={len(next_padded.object.target)}"
-        )
+        log.append(stage_log_line(t + 1, next_padded.object.target))
         for tag, task, _, _ in absorbed:
             witness_q = witness_qs[tag]
             witnesses[tag] = TaskWitness(tag=tag, stage=task.stage, beta=t + 1, mapping=witness_q)
-            log.append(f"task {tag}: stage={task.stage} beta={t + 1} digest={_digest(witness_q.mapping)}")
+            log.append(task_log_line(tag, task.stage, t + 1, witness_q.mapping))
 
     if pending or waiting:
         left = [tag for tag, _ in pending] + [tag for tag, _ in waiting]
@@ -505,7 +479,7 @@ def _forced_values(phi: SliceObject, probe: SliceObject) -> tuple[dict[str, str]
 
 
 def _saturate(
-    needed: list[str], free: list[str], candidates: dict[str, frozenset[str]]
+    needed: list[str], free: list[str], candidates: Mapping[str, tuple[str, ...]]
 ) -> tuple[dict[str, str] | None, str]:
     """Assign distinct free points to cover `needed`, by augmenting paths.
 
@@ -548,34 +522,48 @@ def _saturate(
     return owner, ""
 
 
+def _search_witness(
+    sliced: SlicedSequence,
+    src: SliceObject,
+    beta: int,
+    candidates: Mapping[str, tuple[str, ...]],
+) -> tuple[Surjection | None, str]:
+    """A surjection g from stage beta onto src's target that commutes with the
+    maps from the base and takes each x into candidates[x], or why none exists.
+
+    The base forces g on the image of phis[beta]; a matching of the free
+    points then covers the target points the forced values miss, and every
+    free point it leaves unassigned takes its first candidate.  A witness is
+    found exactly when one exists.
+    """
+    forced, conflict = _forced_values(sliced.phis[beta], src)
+    if forced is None:
+        return None, conflict
+    for x, y in forced.items():
+        if y not in candidates[x]:
+            return None, f"forced value {y!r} at {x!r} is not a candidate"
+    space = sliced.seq.spaces[beta]
+    free = [x for x in space.points if x not in forced]
+    covered = set(forced.values())
+    needed = [y for y in src.target.points if y not in covered]
+    owner, stuck = _saturate(needed, free, candidates) if needed else ({}, "")
+    if owner is None:
+        return None, f"target point {stuck!r} cannot be covered by any free point"
+    mapping = dict(forced)
+    for x in free:
+        mapping[x] = owner[x] if x in owner else candidates[x][0]
+    return Surjection(space, src.target, mapping), ""
+
+
 def _search_task_witness(
     sliced: SlicedSequence, task: FraisseTask, beta: int
 ) -> tuple[Surjection | None, str]:
-    phi = sliced.phis[beta]
-    target = task.arrow.src.target
-    forced, conflict = _forced_values(phi, task.arrow.src)
-    if forced is None:
-        return None, conflict
     bond = sliced.seq.bonding(task.stage, beta)
-    candidates = {
-        x: frozenset(task.arrow.q.fiber(bond(x))) for x in sliced.seq.spaces[beta].points
-    }
-    for x, y in forced.items():
-        if y not in candidates[x]:
-            return None, f"forced value {y!r} at {x!r} is outside the bonding fiber"
-    free = [x for x in sliced.seq.spaces[beta].points if x not in forced]
-    covered = set(forced.values())
-    needed = [y for y in target.points if y not in covered]
-    owner, stuck = _saturate(needed, free, candidates)
-    if owner is None:
-        return None, f"target point {stuck!r} cannot be covered by any free fiber"
-    mapping = dict(forced)
-    for x in free:
-        mapping[x] = owner[x] if x in owner else sorted(candidates[x])[0]
-    g = Surjection(sliced.seq.spaces[beta], target, mapping)
-    if compose(task.arrow.q, g) != bond:
+    fibers = {x: task.arrow.q.fiber(bond(x)) for x in sliced.seq.spaces[beta].points}
+    g, reason = _search_witness(sliced, task.arrow.src, beta, fibers)
+    if g is not None and compose(task.arrow.q, g) != bond:
         raise AssertionError(f"the witness at stage {beta} does not compose to the bonding map")
-    return g, ""
+    return g, reason
 
 
 def verify_fraisse(
@@ -587,31 +575,23 @@ def verify_fraisse(
 ) -> FraisseReport:
     """Independently certify reachability and absorption on a sliced sequence.
 
-    For each probe a commuting surjection out of some stage is searched; for
-    each task, every stage beta is scanned for a commuting surjection g with
-    bonding(stage, beta) = arrow o g, using fiber constraints plus a matching
-    step, which finds a witness exactly when one exists.  Small instances are
-    cross-checked by full enumeration under `bound`.
+    For each probe the first stage with a commuting surjection onto it is
+    searched, any target point being a candidate; for each task, every stage
+    beta is scanned for a commuting surjection g with bonding(stage, beta) =
+    arrow o g, the candidates being the bonding fibers.  Both searches find a
+    witness exactly when one exists.  An empty probe search is cross-checked
+    at stage 0 by full enumeration under `bound`.
     """
     probe_results = []
     for index, probe in enumerate(probes):
         outcome = ProbeResult(index=index, status="failed", detail="no stage admits an arrow")
         for level in range(sliced.seq.length + 1):
-            forced, conflict = _forced_values(sliced.phis[level], probe)
-            if forced is None:
-                continue
-            free = [x for x in sliced.seq.spaces[level].points if x not in forced]
-            covered = set(forced.values())
-            needed = [y for y in probe.target.points if y not in covered]
-            if len(needed) > len(free):
-                continue
-            mapping = dict(forced)
-            for i, x in enumerate(free):
-                mapping[x] = needed[i] if i < len(needed) else probe.target.points[0]
-            q = Surjection(sliced.seq.spaces[level], probe.target, mapping)
-            SliceArrow(sliced.phis[level], probe, q)
-            outcome = ProbeResult(index=index, status="witnessed", level=level, mapping=q)
-            break
+            anywhere = dict.fromkeys(sliced.seq.spaces[level].points, probe.target.points)
+            q, _ = _search_witness(sliced, probe, level, anywhere)
+            if q is not None:
+                SliceArrow(sliced.phis[level], probe, q)
+                outcome = ProbeResult(index=index, status="witnessed", level=level, mapping=q)
+                break
         if (
             outcome.status == "failed"
             and len(probe.target) ** len(sliced.seq.spaces[0]) <= bound

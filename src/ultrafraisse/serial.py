@@ -88,7 +88,7 @@ def tree_to_json(tree: BallTree) -> dict:
 
 def tree_from_json(data: Any, name: str = "tree") -> BallTree:
     require(isinstance(data, dict), f"{name}: expected an object")
-    require(isinstance(data.get("depth"), int), f"{name}: 'depth' must be an integer")
+    require(type(data.get("depth")) is int, f"{name}: 'depth' must be an integer")
     levels_raw = data.get("levels")
     parents_raw = data.get("parents")
     require(isinstance(levels_raw, list) and levels_raw, f"{name}: 'levels' must be a list")
@@ -115,7 +115,7 @@ def tree_from_json(data: Any, name: str = "tree") -> BallTree:
         mapping = {}
         for child, idx in zip(upper.points, row):
             require(
-                isinstance(idx, int) and 0 <= idx < len(lower),
+                type(idx) is int and 0 <= idx < len(lower),
                 f"{name}: parent row {a}: index {idx!r} out of range",
             )
             mapping[child] = lower.points[idx]
@@ -200,7 +200,7 @@ def sliced_parts_from_json(
         require(isinstance(entry, dict), f"{name}: phi {i} must be an object")
         level = entry.get("level")
         require(
-            isinstance(level, int) and 0 <= level <= base.depth,
+            type(level) is int and 0 <= level <= base.depth,
             f"{name}: phi {i} has a bad level",
         )
         quotient = map_from_json(
@@ -236,9 +236,10 @@ def witness_from_json(data: Any, name: str = "witness") -> NowhereDenseWitness:
     choices = []
     for i, entry in enumerate(data["levels"]):
         require(isinstance(entry, dict), f"{name}: level {i} must be an object")
-        require(entry.get("alpha") == i, f"{name}: level {i} out of order")
+        alpha = entry.get("alpha")
+        require(type(alpha) is int and alpha == i, f"{name}: level {i} out of order")
         beta = entry.get("beta")
-        require(isinstance(beta, int), f"{name}: level {i} needs an integer 'beta'")
+        require(type(beta) is int, f"{name}: level {i} needs an integer 'beta'")
         ch = entry.get("choices")
         require(
             isinstance(ch, dict)

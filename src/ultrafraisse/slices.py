@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balltree import BallTree
-from .spaces import FiniteSpace, PointMap, Surjection, pair_label, pullback, product
+from .spaces import FiniteSpace, PointMap, Surjection, pair_label, pullback
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,6 @@ class SliceObject:
     def point_table(self) -> dict[str, str]:
         return {p: self.point_value(p) for p in self.base.points}
 
-    def image_points(self) -> tuple[str, ...]:
-        hit = {self.point_value(p) for p in self.base.points}
-        return tuple(t for t in self.target.points if t in hit)
-
 
 @dataclass(frozen=True)
 class SliceArrow:
@@ -65,9 +61,12 @@ class SliceArrow:
         if self.q.dom != self.src.target or self.q.cod != self.dst.target:
             raise ValueError("arrow map must send src target onto dst target")
         level = max(self.src.level, self.dst.level)
-        for label in self.src.base.levels[level].points:
-            got = self.q(self.src.value_on_ball(level, label))
-            want = self.dst.value_on_ball(level, label)
+        # each ball's ancestor chain gives both ends' values, as point_value reads them
+        q, src_at, dst_at = self.q.mapping, self.src.level, self.dst.level
+        src_map, dst_map = self.src.quotient_map.mapping, self.dst.quotient_map.mapping
+        for label, chain in self.src.base._chains[level].items():
+            got = q[src_map[chain[src_at]]]
+            want = dst_map[chain[dst_at]]
             if got != want:
                 raise ValueError(
                     f"arrow does not commute over the base: ball {label!r} "
@@ -114,26 +113,3 @@ def amalgamate_slice(
     )
     return k, SliceArrow(k, f, p1), SliceArrow(k, g, p2)
 
-
-def direct_slice(f: SliceObject, g: SliceObject) -> tuple[SliceObject, SliceArrow, SliceArrow]:
-    """Pair two slice objects through the full product of their targets.
-
-    The product target keeps both projections surjective even when the pair
-    map is not onto, so both triangles are genuine arrows.
-    """
-    if f.base != g.base:
-        raise ValueError("slice objects live over different bases")
-    p, px, py = product(f.target, g.target)
-    level = max(f.level, g.level)
-    base = f.base
-    mapping = {
-        label: pair_label(f.value_on_ball(level, label), g.value_on_ball(level, label))
-        for label in base.levels[level].points
-    }
-    h = SliceObject(
-        base=base,
-        level=level,
-        target=p,
-        quotient_map=PointMap(base.levels[level], p, mapping),
-    )
-    return h, SliceArrow(h, f, px), SliceArrow(h, g, py)

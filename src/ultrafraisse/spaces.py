@@ -100,11 +100,6 @@ class PointMap:
             self._fibers = {q: tuple(ps) for q, ps in fibers.items()}
         return self._fibers.get(value, ())
 
-    def image(self) -> tuple[str, ...]:
-        """Values actually attained, in codomain order."""
-        hit = set(self.mapping.values())
-        return tuple(q for q in self.cod.points if q in hit)
-
 
 class Surjection(PointMap):
     """A total map with every codomain point attained."""
@@ -161,14 +156,3 @@ def pullback(q1: Surjection, q2: Surjection) -> tuple[FiniteSpace, Surjection, S
     g1 = Surjection(w, y_space, {pair_label(x, y): y for x, y in pairs})
     return w, f1, g1
 
-
-def product(x_space: FiniteSpace, y_space: FiniteSpace) -> tuple[FiniteSpace, Surjection, Surjection]:
-    """Cartesian product with its two projections, pairs in canonical order."""
-    pairs = [(x, y) for x in x_space.points for y in y_space.points]
-    p = FiniteSpace(
-        id=f"prod({x_space.id},{y_space.id})",
-        points=tuple(pair_label(x, y) for x, y in pairs),
-    )
-    px = Surjection(p, x_space, {pair_label(x, y): x for x, y in pairs})
-    py = Surjection(p, y_space, {pair_label(x, y): y for x, y in pairs})
-    return p, px, py

@@ -3,13 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from ultrafraisse.balltree import (
     BallTree,
-    BoundSchedule,
     NowhereDenseFailure,
     NowhereDenseWitness,
     ball,
     ball_quotients,
     check_axioms,
-    check_bounded,
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
@@ -323,19 +321,3 @@ def test_factoring_level_cases(tree_b3):
     assert factoring_level(tree_b3, injective) == 3
     with pytest.raises(ValueError, match="undefined"):
         factoring_level(tree_b3, {"000": "v"})
-
-
-def test_bound_schedule(tree_b3):
-    assert check_bounded(tree_b3, BoundSchedule((1, 2, 4, 8))).ok
-    report = check_bounded(tree_b3, BoundSchedule((1, 1, 1, 1)))
-    assert not report.ok
-    assert "level 1" in report.issues[0]
-    with pytest.raises(ValueError, match="nondecreasing"):
-        BoundSchedule((2, 1))
-
-
-def test_bound_schedule_on_fixture_125():
-    tree = from_sequence(seq_125())
-    report = check_bounded(tree, BoundSchedule((1, 2, 4)))
-    assert not report.ok
-    assert "level 2" in report.issues[0]

@@ -193,11 +193,15 @@ def test_retraction_mutation_fails(tmp_path, k4_path):
     assert run("verify", mutated) == 1
 
 
-def test_verify_skips_oracle_under_tiny_bounds(tmp_path, k4_path, capsys):
+def test_verify_runs_the_exhaustive_search_under_tiny_bounds(tmp_path, k4_path, capsys):
+    # the search is linear in the ambient tree, so no bound skips it
     out = tmp_path / "embed.json"
     run("embed", k4_path, "--depth", "4", "--out", out)
+    capsys.readouterr()
     assert run("verify", out, "--bounds", "1") == 0
-    assert any("SKIP" in line for line in capsys.readouterr().out.splitlines())
+    lines = capsys.readouterr().out.splitlines()
+    assert "PASS witness matches the exhaustive search" in lines
+    assert not any(line.startswith("SKIP") for line in lines)
 
 
 def test_outputs_are_byte_identical(tmp_path, k4_path):
@@ -304,6 +308,35 @@ def test_malformed_task_fields_fail_without_traceback(tmp_path, k4_path, mutate,
         assert fails and all("absorption witness" in line for line in fails)
     else:
         assert "parse error" in captured.err
+
+
+def _set_all(row: list, value) -> None:
+    row[:] = [value] * len(row)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda c: c["witness"]["levels"][0].update(alpha=0.0),
+        lambda c: c["witness"]["levels"][1].update(alpha=True),
+        lambda c: c["witness"]["levels"][0].update(beta=True),
+        lambda c: _set_all(c["ambient"]["parents"][0], False),
+        lambda c: c["sequence"]["phis"][1].update(level=True),
+    ],
+    ids=["alpha-float", "alpha-true", "beta-true", "parents-false", "phi-level-true"],
+)
+def test_integer_fields_reject_bools_and_floats(tmp_path, k4_path, mutate, capsys):
+    # each value compares equal to the integer it replaces, so only the type can fail it
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--depth", "4", "--split", "1:p0", "--out", out) == 0
+    cert = json.loads(out.read_text())
+    mutate(cert)
+    cert["integrity"] = serial.content_digest(cert)
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", mutated) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ from ultrafraisse.engine import (
     TaskSchedule,
     build_fraisse,
     dominate_arrow,
-    dominate_object,
     dominating_arrow,
     make_ball_cover,
     make_padded_object,
@@ -109,48 +108,6 @@ def test_dominating_arrow_composites_stay_in_category(tree_k4, schedule):
     composite = compose(lo.q, hi.q)
     # a valid arrow between the endpoints, though not the canonical one
     SliceArrow(hi.src, lo.dst, composite)
-
-
-def test_dominate_object_with_unreached_points(tree_k4, schedule):
-    target = FiniteSpace("t", ("u", "v", "w"))
-    f = SliceObject(
-        base=tree_k4,
-        level=1,
-        target=target,
-        quotient_map=PointMap(tree_k4.levels[1], target, {"0": "u", "1": "v"}),
-    )
-    padded, arrow = dominate_object(f, tree_k4, schedule)
-    assert padded.ball_level == 1
-    assert padded.pad_index == 0
-    assert [arrow.q(x) for x in padded.pad_labels] == ["w", "w"]
-    assert arrow.q.is_surjective()
-    for leaf in tree_k4.points:
-        assert arrow.q(padded.object.point_value(leaf)) == f.point_value(leaf)
-
-
-def test_dominate_object_surjective_image(tree_k4, schedule):
-    target = FiniteSpace("t", ("u", "v"))
-    f = SliceObject(
-        base=tree_k4,
-        level=1,
-        target=target,
-        quotient_map=PointMap(tree_k4.levels[1], target, {"0": "u", "1": "v"}),
-    )
-    padded, arrow = dominate_object(f, tree_k4, schedule)
-    # no unreached part: pads fall back to the least target point
-    assert all(arrow.q(x) == "u" for x in padded.pad_labels)
-
-
-def test_dominate_object_constant_map(tree_k4, schedule):
-    target = FiniteSpace("t", ("c",))
-    f = SliceObject(
-        base=tree_k4,
-        level=2,
-        target=target,
-        quotient_map=PointMap(tree_k4.levels[2], target, {b: "c" for b in tree_k4.levels[2].points}),
-    )
-    padded, _ = dominate_object(f, tree_k4, schedule)
-    assert padded.ball_level == 0  # a constant map factors at the root
 
 
 def test_dominate_arrow_identity_absorbs(tree_k4, schedule):

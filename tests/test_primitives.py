@@ -20,7 +20,14 @@ from ultrafraisse.balltree import (
     u_metric,
     validate_witness,
 )
-from ultrafraisse.engine import PaddingSchedule, TaskSchedule, build_fraisse, point_split_task
+from ultrafraisse.cli import _canonical_probes
+from ultrafraisse.engine import (
+    PaddingSchedule,
+    TaskSchedule,
+    build_fraisse,
+    point_split_task,
+    verify_fraisse,
+)
 from ultrafraisse.errors import InputError
 from ultrafraisse.fixtures import binary_tree, k4, random_tree
 from ultrafraisse.generic import (
@@ -467,6 +474,61 @@ def test_point_value_matches_ancestor_lookup(case):
         phi.point_value("foreign")
 
 
+def ref_commute_error(arrow_src, arrow_dst, q):
+    """The first commutation failure read through two ancestor lookups per
+    ball, as SliceArrow first checked it, or None."""
+    level = max(arrow_src.level, arrow_dst.level)
+    for label in arrow_src.base.levels[level].points:
+        got = q(arrow_src.value_on_ball(level, label))
+        want = arrow_dst.value_on_ball(level, label)
+        if got != want:
+            return (
+                f"arrow does not commute over the base: ball {label!r} "
+                f"maps to {got!r}, expected {want!r}"
+            )
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset(), st.booleans())
+def test_slice_arrow_check_matches_ancestor_lookups(case, perturb):
+    tree, _, rng = case
+    low, high = sorted(rng.randint(0, tree.depth) for _ in range(2))
+    src_level, dst_level = (low, high) if rng.random() < 0.5 else (high, low)
+    source = FiniteSpace(id="s", points=("s0", "s1", "s2", "s3"))
+    target = FiniteSpace(id="t", points=("t0", "t1"))
+    src = SliceObject(
+        base=tree,
+        level=src_level,
+        target=source,
+        quotient_map=PointMap(
+            tree.levels[src_level], source,
+            {b: rng.choice(source.points) for b in tree.levels[src_level].points},
+        ),
+    )
+    q = Surjection(source, target, {"s0": "t0", "s1": "t1", "s2": "t0", "s3": "t1"})
+    # dst commutes with src where it factors (dst at the finer level), else at random
+    values = {
+        b: q(src.value_on_ball(dst_level, b)) if dst_level >= src_level else rng.choice(target.points)
+        for b in tree.levels[dst_level].points
+    }
+    if perturb:
+        ball = rng.choice(tree.levels[dst_level].points)
+        values[ball] = "t1" if values[ball] == "t0" else "t0"
+    dst = SliceObject(
+        base=tree,
+        level=dst_level,
+        target=target,
+        quotient_map=PointMap(tree.levels[dst_level], target, values),
+    )
+    want = ref_commute_error(src, dst, q)
+    if want is None:
+        SliceArrow(src, dst, q)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            SliceArrow(src, dst, q)
+
+
 def validated_compose(g: PointMap, f: PointMap) -> PointMap:
     """compose with the composite re-checked by the map constructor."""
     cls = Surjection if isinstance(f, Surjection) and isinstance(g, Surjection) else PointMap
@@ -678,3 +740,116 @@ def test_retraction_sends_each_point_to_its_nearest_embedded_point():
         base_of = dict(zip(anchors, tree.points))
         want = {w: base_of[e] for w, e in ref_nearest(pres.ambient, anchors).items()}
         assert retraction_table(pres, retract_onto(pres)) == want
+
+
+def old_probe_search(sliced, probe):
+    """verify_fraisse's probe loop from before probes and tasks shared one
+    search, kept verbatim: the first stage with a witness, and the witness."""
+    for level in range(sliced.seq.length + 1):
+        forced, conflict = engine._forced_values(sliced.phis[level], probe)
+        if forced is None:
+            continue
+        free = [x for x in sliced.seq.spaces[level].points if x not in forced]
+        covered = set(forced.values())
+        needed = [y for y in probe.target.points if y not in covered]
+        if len(needed) > len(free):
+            continue
+        mapping = dict(forced)
+        for i, x in enumerate(free):
+            mapping[x] = needed[i] if i < len(needed) else probe.target.points[0]
+        q = Surjection(sliced.seq.spaces[level], probe.target, mapping)
+        SliceArrow(sliced.phis[level], probe, q)
+        return level, q
+    return None, None
+
+
+def old_task_beta(sliced, task):
+    """The first stage at which the task search from before the shared search
+    (kept verbatim, filling with the least label of the bonding fiber) finds
+    a witness, or None."""
+    for beta in range(task.stage, sliced.seq.length + 1):
+        phi = sliced.phis[beta]
+        target = task.arrow.src.target
+        forced, conflict = engine._forced_values(phi, task.arrow.src)
+        if forced is None:
+            continue
+        bond = sliced.seq.bonding(task.stage, beta)
+        candidates = {
+            x: frozenset(task.arrow.q.fiber(bond(x))) for x in sliced.seq.spaces[beta].points
+        }
+        if any(y not in candidates[x] for x, y in forced.items()):
+            continue
+        free = [x for x in sliced.seq.spaces[beta].points if x not in forced]
+        covered = set(forced.values())
+        needed = [y for y in target.points if y not in covered]
+        owner, stuck = engine._saturate(needed, free, candidates)
+        if owner is None:
+            continue
+        mapping = dict(forced)
+        for x in free:
+            mapping[x] = owner[x] if x in owner else sorted(candidates[x])[0]
+        g = Surjection(sliced.seq.spaces[beta], target, mapping)
+        assert compose(task.arrow.q, g) == bond
+        return beta
+    return None
+
+
+def random_surjective_probe(tree, rng):
+    """A slice object onto a shuffled target, at a random level."""
+    level = rng.randint(0, tree.depth)
+    balls = list(tree.levels[level].points)
+    rng.shuffle(balls)
+    names = [f"t{i}" for i in range(rng.randint(1, len(balls)))]
+    rng.shuffle(names)
+    values = {b: names[i] if i < len(names) else rng.choice(names) for i, b in enumerate(balls)}
+    target = FiniteSpace(id="probe", points=tuple(names))
+    return SliceObject(
+        base=tree, level=level, target=target, quotient_map=PointMap(tree.levels[level], target, values)
+    )
+
+
+def fraisse_case(tree, rng):
+    """A build over `tree` absorbing one split, and split tasks into random
+    stages of it, some of which no stage absorbs."""
+    build = build_fraisse(
+        tree, tree.depth + 1, PaddingSchedule(), TaskSchedule((point_split_task(1, "p0"),))
+    )
+    sliced = build.sequence
+    tasks = [task for _, task in build.tasks]
+    for _ in range(3):
+        stage = rng.randint(0, sliced.seq.length)
+        point = rng.choice(sliced.seq.spaces[stage].points)
+        tasks.append(point_split_task(stage, point)[1](sliced))
+    return sliced, tasks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_probe_witnesses_match_the_old_probe_loop(seed):
+    rng = random.Random(seed)
+    for tree in trees(seed):
+        sliced, _ = fraisse_case(tree, rng)
+        probes = _canonical_probes(tree) + [random_surjective_probe(tree, rng) for _ in range(3)]
+        report = verify_fraisse(sliced, probes=probes)
+        for probe, result in zip(probes, report.probes):
+            assert result.status == "witnessed"
+            assert (result.level, result.mapping) == old_probe_search(sliced, probe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_task_witnesses_keep_the_old_stage_and_compose_to_the_bonding(seed):
+    rng = random.Random(seed)
+    for tree in trees(seed):
+        sliced, tasks = fraisse_case(tree, rng)
+        report = verify_fraisse(sliced, tasks)
+        assert report.tasks[0].status == "witnessed"  # the split the build absorbed
+        for task, result in zip(tasks, report.tasks):
+            assert result.beta == old_task_beta(sliced, task)
+            if result.beta is None:
+                assert result.status == "failed"
+                continue
+            SliceArrow(sliced.phis[result.beta], task.arrow.src, result.mapping)
+            assert compose(task.arrow.q, result.mapping) == sliced.seq.bonding(
+                task.stage, result.beta
+            )

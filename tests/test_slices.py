@@ -6,7 +6,6 @@ from ultrafraisse.slices import (
     SliceArrow,
     SliceObject,
     amalgamate_slice,
-    direct_slice,
     identity_arrow,
 )
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, pair_label
@@ -108,9 +107,11 @@ def test_amalgamate_over_singleton_is_directedness(tree_k4):
     q1 = SliceArrow(f, h, Surjection(f.target, h.target, {p: "z" for p in f.target.points}))
     q2 = SliceArrow(g, h, Surjection(g.target, h.target, {p: "z" for p in g.target.points}))
     k, f1, g1 = amalgamate_slice(f, g, h, q1, q2)
-    prod, pf, pg = direct_slice(f, g)
-    assert k.target.points == prod.target.points
-    assert k.level == prod.level == 2
+    # over a point the amalgam is the full product of the two targets
+    assert k.target.points == tuple(
+        pair_label(x, y) for x in f.target.points for y in g.target.points
+    )
+    assert k.level == 2
 
 
 def test_amalgamate_rejects_mismatched_cospan(tree_k4):
@@ -121,51 +122,6 @@ def test_amalgamate_rejects_mismatched_cospan(tree_k4):
     q2 = SliceArrow(f, other, Surjection(f.target, other.target, {"x0": "w", "x1": "w"}))
     with pytest.raises(ValueError, match="cospan"):
         amalgamate_slice(f, f, h, q1, q2)
-
-
-def test_direct_slice_with_singleton_target(tree_k4):
-    f = slice_obj(tree_k4, 1, "f", {"0": "u", "1": "v"})
-    g = slice_obj(tree_k4, 0, "g", {"": "only"})
-    h, pf, pg = direct_slice(f, g)
-    assert len(h.target) == len(f.target)
-    # first projection is a bijection here
-    assert len(set(pf.q.mapping.values())) == len(h.target)
-    for leaf in tree_k4.points:
-        assert pf.q(h.point_value(leaf)) == f.point_value(leaf)
-
-
-def test_direct_slice_diagonal(tree_k4):
-    f = slice_obj(tree_k4, 1, "f", {"0": "u", "1": "v"})
-    h, pf, pg = direct_slice(f, f)
-    # the full product target with the induced map landing on the diagonal
-    assert len(h.target) == len(f.target) ** 2
-    image = set(h.point_table().values())
-    assert image == {pair_label(v, v) for v in ("u", "v")}
-    # diagonal image is in bijection with the image of f
-    assert len(image) == len(set(f.point_table().values()))
-
-
-def test_direct_slice_separation_levels(tree_k4):
-    f = slice_obj(tree_k4, 1, "f", {"0": "u", "1": "v"})
-    g = slice_obj(tree_k4, 2, "g", {"00": "a", "01": "b", "10": "c", "11": "d"})
-    h, pf, pg = direct_slice(f, g)
-    assert h.level == 2
-    # h separates the level-2 balls of the base
-    values = [h.point_value(p) for p in tree_k4.points]
-    assert len(set(values)) == 4
-    # the image size is the number of distinct value pairs on the base
-    pairs = {(f.point_value(p), g.point_value(p)) for p in tree_k4.points}
-    assert len(set(h.point_table().values())) == len(pairs)
-    # while the target keeps the whole product so both projections stay onto
-    assert len(h.target) == len(f.target) * len(g.target)
-    assert pf.q.is_surjective() and pg.q.is_surjective()
-
-
-def test_direct_slice_base_mismatch(tree_k4, tree_b3):
-    f = slice_obj(tree_k4, 0, "f", {"": "u"})
-    g = slice_obj(tree_b3, 0, "g", {"": "v"})
-    with pytest.raises(ValueError, match="different bases"):
-        direct_slice(f, g)
 
 
 def random_cospan(tree, rng, max_size=5):

@@ -10,7 +10,6 @@ from ultrafraisse.spaces import (
     compose,
     identity,
     pair_label,
-    product,
     pullback,
 )
 
@@ -176,26 +175,8 @@ def test_pullback_universal_property_with_cones():
     assert cones > 0
 
 
-def test_product_counts_and_projections():
-    x, y = space("x", "a", "b"), space("y", "u", "v", "w")
-    p, px, py = product(x, y)
-    assert len(p) == 6
-    for xl in x.points:
-        for yl in y.points:
-            assert px(pair_label(xl, yl)) == xl
-            assert py(pair_label(xl, yl)) == yl
-
-
-def test_product_with_singleton_is_bijection():
-    x, y = space("x", "only"), space("y", "u", "v")
-    p, px, py = product(x, y)
-    assert len(p) == len(y)
-    assert len(set(py.mapping.values())) == len(y)
-
-
 def test_operations_are_deterministic():
     x = space("x", "x0", "x1")
     z = space("z", "z0")
     q = Surjection(x, z, {"x0": "z0", "x1": "z0"})
     assert pullback(q, q)[0] == pullback(q, q)[0]
-    assert product(x, x)[0] == product(x, x)[0]
