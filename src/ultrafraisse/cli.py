@@ -2,7 +2,7 @@
 certificates as JSON documents.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity or
-depth error, 4 semantic input error.
+depth error, 4 semantic input error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -479,7 +479,10 @@ def _verify_extension(payload: dict) -> list[Check]:
     serial.require(
         isinstance(levels, list)
         and len(levels) == ambient.depth + 1
-        and all(isinstance(entry, dict) for entry in levels),
+        and all(
+            isinstance(entry, dict) and type(entry.get("level")) is int and entry["level"] == i
+            for i, entry in enumerate(levels)
+        ),
         "levels malformed",
     )
     tables = [
@@ -895,6 +898,10 @@ def main(argv: list[str] | None = None) -> int:
         # library-level contract violations triggered by user data
         print(f"input error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        # a fault of the program, kept apart from a verification failure (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

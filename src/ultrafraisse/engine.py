@@ -559,7 +559,8 @@ def _search_task_witness(
     sliced: SlicedSequence, task: FraisseTask, beta: int
 ) -> tuple[Surjection | None, str]:
     bond = sliced.seq.bonding(task.stage, beta)
-    fibers = {x: task.arrow.q.fiber(bond(x)) for x in sliced.seq.spaces[beta].points}
+    fiber, bonded = task.arrow.q.fiber, bond.mapping
+    fibers = {x: fiber(bonded[x]) for x in sliced.seq.spaces[beta].points}
     g, reason = _search_witness(sliced, task.arrow.src, beta, fibers)
     if g is not None and compose(task.arrow.q, g) != bond:
         raise AssertionError(f"the witness at stage {beta} does not compose to the bonding map")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .balltree import BallTree, NowhereDenseWitness
@@ -59,8 +60,50 @@ def params_from_json(data: Any, name: str = "params") -> dict:
     return data
 
 
+def _encode(value: Any, pad: str) -> str:
+    """`value` as `json.dumps(indent=2, sort_keys=True)` writes it, nested
+    where `pad` (a newline and the enclosing indentation) starts its lines.
+
+    Lists and string-keyed objects are joined here; all strings go through
+    the stdlib's C string encoder.  Any other value (floats, non-string
+    keys, subclasses of the JSON types) is written by the stdlib encoder
+    and re-indented: its newlines are all structural, since strings escape
+    theirs.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            body = map(_quote, value)
+        elif kinds == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_encode(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) == {str}:
+            inner = pad + "  "
+            items = sorted(value.items())
+            if set(map(type, value.values())) == {str}:
+                body = [_quote(k) + ": " + _quote(v) for k, v in items]
+            else:
+                body = [_quote(k) + ": " + _encode(v, inner) for k, v in items]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Byte for byte `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`."""
+    return _encode(payload, "\n") + "\n"
 
 
 def content_digest(payload: dict) -> str:
@@ -140,11 +183,13 @@ def trees_equal(a: BallTree, b: BallTree) -> bool:
 
 def map_from_json(data: Any, dom: FiniteSpace, cod: FiniteSpace, name: str, surjective: bool = True):
     require(isinstance(data, dict), f"{name}: expected a label-to-label object")
-    require(all(isinstance(k, str) and isinstance(v, str) for k, v in data.items()), f"{name}: labels must be strings")
     cls = Surjection if surjective else PointMap
     try:
         return cls(dom, cod, data)
     except ValueError as exc:
+        # a map that constructs has only dom's and cod's labels, which are
+        # strings here, so the type scan is needed only to report first
+        require(all(isinstance(k, str) and isinstance(v, str) for k, v in data.items()), f"{name}: labels must be strings")
         raise SchemaError(f"{name}: {exc}") from None
 
 

@@ -52,15 +52,25 @@ class PointMap:
     __slots__ = ("dom", "cod", "mapping", "_fibers")
 
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, mapping: Mapping[str, str]):
-        missing = [p for p in dom.points if p not in mapping]
-        if missing:
-            raise ValueError(f"map {dom.id!r}->{cod.id!r} undefined at {missing[0]!r}")
-        extra = [p for p in mapping if p not in dom]
-        if extra:
-            raise ValueError(f"map {dom.id!r}->{cod.id!r} defined at foreign point {extra[0]!r}")
-        bad = [v for v in mapping.values() if v not in cod]
-        if bad:
-            raise ValueError(f"map {dom.id!r}->{cod.id!r} hits foreign value {bad[0]!r}")
+        # The common case is two set tests in C; the scans below only name
+        # the first offender, undefined point before foreign point before
+        # foreign value.
+        try:
+            valid = mapping.keys() == dom._positions.keys() and all(
+                map(cod._positions.__contains__, mapping.values())
+            )
+        except TypeError:  # an unhashable value from malformed input
+            valid = False
+        if not valid:
+            missing = [p for p in dom.points if p not in mapping]
+            if missing:
+                raise ValueError(f"map {dom.id!r}->{cod.id!r} undefined at {missing[0]!r}")
+            extra = [p for p in mapping if p not in dom]
+            if extra:
+                raise ValueError(f"map {dom.id!r}->{cod.id!r} defined at foreign point {extra[0]!r}")
+            bad = [v for v in mapping.values() if v not in cod]
+            if bad:
+                raise ValueError(f"map {dom.id!r}->{cod.id!r} hits foreign value {bad[0]!r}")
         self.dom = dom
         self.cod = cod
         self.mapping = dict(mapping)
@@ -108,8 +118,9 @@ class Surjection(PointMap):
 
     def __init__(self, dom: FiniteSpace, cod: FiniteSpace, mapping: Mapping[str, str]):
         super().__init__(dom, cod, mapping)
-        if not self.is_surjective():
-            miss = next(q for q in cod.points if q not in set(self.mapping.values()))
+        hit = set(self.mapping.values())
+        if len(hit) != len(cod):  # every value is a point of cod, so onto is a count
+            miss = next(q for q in cod.points if q not in hit)
             raise ValueError(f"map {dom.id!r}->{cod.id!r} misses {miss!r}: not a surjection")
 
 

@@ -182,6 +182,34 @@ def test_extension_mutation_fails(tmp_path, swap_input_path, capsys):
     assert run("verify", mutated) == 1
 
 
+@pytest.mark.parametrize("level", [99, True, "1", 1.0, None], ids=["99", "true", "str", "float", "null"])
+def test_extension_level_field_is_checked(tmp_path, swap_input_path, level, capsys):
+    # levels are matched by list position, so a stated `level` other than the
+    # integer position is malformed even though every table is intact
+    out = tmp_path / "ext.json"
+    assert run("extend", swap_input_path, "--out", out) == 0
+    cert = json.loads(out.read_text())
+    cert["levels"][1]["level"] = level
+    cert["integrity"] = serial.content_digest(cert)
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", mutated) == 2
+    assert "levels malformed" in capsys.readouterr().err
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, k4_path, monkeypatch, capsys):
+    from ultrafraisse import cli
+
+    def broken(config):
+        raise KeyError("lost label")
+
+    monkeypatch.setitem(cli._PRODUCERS, "embed", (broken, "embedding certificate"))
+    capsys.readouterr()
+    assert run("embed", k4_path, "--depth", "2", "--out", tmp_path / "x.json") == 5
+    assert capsys.readouterr().err == "internal error: KeyError: 'lost label'\n"
+
+
 def test_retraction_mutation_fails(tmp_path, k4_path):
     out = tmp_path / "ret.json"
     run("retract", k4_path, "--depth", "4", "--out", out)

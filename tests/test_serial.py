@@ -1,0 +1,154 @@
+"""The certificate writer and map validation against the stdlib encoder and
+the entry-by-entry scans they replace."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ultrafraisse import serial
+from ultrafraisse.errors import SchemaError
+from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection
+
+# --- serial.dumps is byte for byte the stdlib's indent=2 sorted encoding
+
+_tricky = st.text(alphabet=st.sampled_from('a0 "\\/\n\t\x00\x1f\x7féß€ \U0001f600'))
+_strings = st.one_of(st.text(), _tricky)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    _strings,
+)
+_json = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(_strings, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(_strings, inner, max_size=5),
+        st.dictionaries(_strings, _strings, max_size=5),
+        # non-string keys of one comparable kind, as sort_keys needs
+        st.dictionaries(st.integers(), inner, max_size=4),
+        st.dictionaries(st.floats(allow_nan=False), inner, max_size=4),
+        st.dictionaries(st.booleans(), inner, max_size=2),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json)
+def test_dumps_matches_the_stdlib_encoder(value):
+    assert serial.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matches_on_nested_empty_containers():
+    value = {"a": [[], {}, [[]], {"b": {}}], "": [{"c": []}], "z": {}}
+    assert serial.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# --- map validation reports what the entry-by-entry scans reported
+
+
+def _scan_point_map(dom, cod, mapping):
+    """The validation PointMap ran before its set tests, verbatim."""
+    missing = [p for p in dom.points if p not in mapping]
+    if missing:
+        raise ValueError(f"map {dom.id!r}->{cod.id!r} undefined at {missing[0]!r}")
+    extra = [p for p in mapping if p not in dom]
+    if extra:
+        raise ValueError(f"map {dom.id!r}->{cod.id!r} defined at foreign point {extra[0]!r}")
+    bad = [v for v in mapping.values() if v not in cod]
+    if bad:
+        raise ValueError(f"map {dom.id!r}->{cod.id!r} hits foreign value {bad[0]!r}")
+
+
+def _scan_surjection(dom, cod, mapping):
+    _scan_point_map(dom, cod, mapping)
+    if not set(mapping.values()) == set(cod.points):
+        miss = next(q for q in cod.points if q not in set(mapping.values()))
+        raise ValueError(f"map {dom.id!r}->{cod.id!r} misses {miss!r}: not a surjection")
+
+
+def _scan_map_from_json(data, dom, cod, name, surjective):
+    """serial.map_from_json before it moved the type scan after construction."""
+    serial.require(isinstance(data, dict), f"{name}: expected a label-to-label object")
+    serial.require(
+        all(isinstance(k, str) and isinstance(v, str) for k, v in data.items()),
+        f"{name}: labels must be strings",
+    )
+    try:
+        (_scan_surjection if surjective else _scan_point_map)(dom, cod, data)
+    except ValueError as exc:
+        raise SchemaError(f"{name}: {exc}") from None
+
+
+def _outcome(fn, *args):
+    """The class and text of what `fn` raises, or None when it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_DOM = FiniteSpace("dom", ("a", "b", "c", "d"))
+_COD = FiniteSpace("cod", ("u", "v", "w"))
+_foreign_keys = st.sampled_from(["e", "u", "", "A", 0, 1])
+_foreign_values = st.one_of(
+    st.sampled_from(["x", "a", "", 0, 2, None]), st.lists(st.sampled_from("uv"), max_size=2)
+)
+
+
+@st.composite
+def _malformed_maps(draw):
+    """A total map dom -> cod, possibly not onto, with random entries dropped,
+    added at foreign or integer labels, or sent to foreign, integer or
+    unhashable values."""
+    mapping = {p: draw(st.sampled_from(_COD.points)) for p in _DOM.points}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "value"]))
+        if edit == "drop" and mapping:
+            del mapping[draw(st.sampled_from(sorted(mapping, key=repr)))]
+        elif edit == "add":
+            mapping[draw(_foreign_keys)] = draw(st.one_of(st.sampled_from(_COD.points), _foreign_values))
+        elif edit == "value" and mapping:
+            mapping[draw(st.sampled_from(sorted(mapping, key=repr)))] = draw(_foreign_values)
+    return mapping
+
+
+@settings(max_examples=400, deadline=None)
+@given(_malformed_maps())
+def test_map_errors_match_the_entry_scans(mapping):
+    args = (_DOM, _COD, mapping)
+    assert _outcome(PointMap, *args) == _outcome(_scan_point_map, *args)
+    assert _outcome(Surjection, *args) == _outcome(_scan_surjection, *args)
+    for surjective in (False, True):
+        args = (mapping, _DOM, _COD, "step 0", surjective)
+        assert _outcome(serial.map_from_json, *args) == _outcome(_scan_map_from_json, *args)
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ({"a": "u", "b": "u", "c": "u"}, "undefined at 'd'"),
+        ({"a": "u", "b": "v", "c": "w", "d": "u", "e": "u"}, "defined at foreign point 'e'"),
+        ({"a": "u", "b": "v", "c": "w", "d": ["u"]}, "hits foreign value ['u']"),
+        ({"a": "u", "b": "v", "c": "u", "d": "v"}, "misses 'w': not a surjection"),
+    ],
+    ids=["missing", "extra", "unhashable", "not-onto"],
+)
+def test_surjection_names_the_first_offender(mapping, message):
+    with pytest.raises(ValueError) as info:
+        Surjection(_DOM, _COD, mapping)
+    assert str(info.value) == f"map 'dom'->'cod' {message}"
+
+
+def test_map_from_json_reports_non_string_labels_first():
+    # an integer key is also a foreign point, but the type error wins
+    data = {"a": "u", "b": "v", "c": "w", "d": "u", 1: "u"}
+    with pytest.raises(SchemaError, match="^step 0: labels must be strings$"):
+        serial.map_from_json(data, _DOM, _COD, "step 0")
