@@ -7,6 +7,7 @@ depth error, 4 semantic input error, 5 internal error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
@@ -18,10 +19,10 @@ from .balltree import (
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
-    thread_embedding,
     validate_witness,
 )
 from .engine import (
+    FraisseTask,
     PaddingSchedule,
     TaskSchedule,
     point_split_task,
@@ -36,6 +37,8 @@ from .generic import (
     PartialHomeo,
     extend_homeo,
     embed_generic,
+    eta_threads,
+    lift_point_table,
     presentation_from_subset,
     retract_onto,
     retraction_table,
@@ -44,8 +47,6 @@ from .sequences import (
     InverseSequence,
     SequenceArrow,
     SlicedSequence,
-    Thread,
-    apply_sequence_arrow,
     check_coherent,
 )
 from .slices import SliceArrow, SliceObject
@@ -109,28 +110,32 @@ def _task_schedule(splits: tuple[str, ...]) -> TaskSchedule:
 
 def _canonical_probes(tree) -> list[SliceObject]:
     """One probe per base level (the ball quotient itself) plus a constant probe."""
-    probes = []
     point_space = FiniteSpace(id="pt", points=("pt",))
-    probes.append(
-        SliceObject(
-            base=tree,
-            level=0,
-            target=point_space,
-            quotient_map=Surjection(
-                tree.levels[0], point_space, {b: "pt" for b in tree.levels[0].points}
-            ),
-        )
-    )
-    for alpha in range(tree.depth + 1):
-        probes.append(
-            SliceObject(
-                base=tree,
-                level=alpha,
-                target=tree.levels[alpha],
-                quotient_map=identity(tree.levels[alpha]),
-            )
-        )
-    return probes
+    constant = Surjection(tree.levels[0], point_space, {b: "pt" for b in tree.levels[0].points})
+    return [SliceObject(tree, 0, point_space, constant)] + [
+        SliceObject(tree, alpha, level, identity(level)) for alpha, level in enumerate(tree.levels)
+    ]
+
+
+def _task_json(task: FraisseTask) -> dict:
+    """The fields of a task entry that its split determines."""
+    src = task.arrow.src
+    return {
+        "stage": task.stage,
+        "source_points": list(src.target.points),
+        "source_level": src.level,
+        "source_map": dict(src.quotient_map.mapping),
+        "arrow_map": dict(task.arrow.q.mapping),
+    }
+
+
+def _probe_json(probe: SliceObject) -> dict:
+    """The fields of a probe entry that the canonical probe determines."""
+    return {
+        "target_points": list(probe.target.points),
+        "level": probe.level,
+        "target_map": dict(probe.quotient_map.mapping),
+    }
 
 
 def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
@@ -170,11 +175,7 @@ def cmd_embed(config: RunConfig) -> dict:
         "tasks": [
             {
                 "tag": tag,
-                "stage": task.stage,
-                "source_points": list(task.arrow.src.target.points),
-                "source_level": task.arrow.src.level,
-                "source_map": dict(task.arrow.src.quotient_map.mapping),
-                "arrow_map": dict(task.arrow.q.mapping),
+                **_task_json(task),
                 "witness_beta": pres.build.witnesses[tag].beta,
                 "witness_map": dict(pres.build.witnesses[tag].mapping.mapping),
             }
@@ -182,9 +183,7 @@ def cmd_embed(config: RunConfig) -> dict:
         ],
         "probes": [
             {
-                "target_points": list(probe.target.points),
-                "level": probe.level,
-                "target_map": dict(probe.quotient_map.mapping),
+                **_probe_json(probe),
                 "witness_stage": result.level,
                 "witness_map": dict(result.mapping.mapping),
             }
@@ -228,7 +227,7 @@ def cmd_retract(config: RunConfig) -> dict:
         **section,
         "reindex": list(arrow.reindex),
         "maps": [dict(m.mapping) for m in arrow.maps],
-        "table": retraction_table(pres, arrow),
+        "table": retraction_table(pres.ambient, arrow),
     }
     payload["integrity"] = serial.content_digest(payload)
     return payload
@@ -253,9 +252,10 @@ def _check(checks: list[Check], name: str, fn) -> bool:
 
 def _verify_presentation(checks: list[Check], payload: dict):
     """Re-check the presentation section of an embedding or retraction
-    certificate: the sequence, then the stated ambient tree and eta table
-    against it.  Returns (params, space, sliced, ambient, eta), or None once
-    the sequence checks fail."""
+    certificate: the sequence clause by clause, then the ambient tree and the
+    eta table, which the sequence determines, re-derived and compared with
+    the stated ones.  Returns (params, space, sliced, ambient, eta), or None
+    once the sequence checks fail."""
     params = serial.params_from_json(payload.get("params"), name="certificate params")
     space = serial.tree_from_json(payload.get("space"), name="certificate space")
     spaces, steps, phis = serial.sliced_parts_from_json(
@@ -280,13 +280,15 @@ def _verify_presentation(checks: list[Check], payload: dict):
     ):
         return None
 
-    ambient_stated = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
     ambient = from_sequence(sliced.seq)
-    _check(
+    ambient_raw = payload.get("ambient")
+    if not _check(
         checks,
         "ambient tree equals the rebuilt sequence tree",
-        lambda: _raise_unless(serial.trees_equal(ambient, ambient_stated), "trees differ"),
-    )
+        lambda: _raise_unless(_same_json(ambient_raw, serial.tree_to_json(ambient)), "trees differ"),
+    ):
+        # a malformed section is a parse error, not a FAIL line
+        serial.tree_from_json(ambient_raw, name="certificate ambient")
     eta_raw = payload.get("eta", {})
     serial.require(
         isinstance(eta_raw, dict)
@@ -296,22 +298,15 @@ def _verify_presentation(checks: list[Check], payload: dict):
         ),
         "eta table must map points to label lists",
     )
-    offset = ambient.depth - sliced.seq.length
-    eta: dict[str, Thread] = {}
+    eta = eta_threads(sliced, ambient)
 
     def run():
-        if set(eta_raw) != set(space.points):
+        if set(eta_raw) != set(eta):
             raise ValueError("eta table does not cover exactly the base points")
-        root = ambient.levels[0].points[0]
-        for x, entries in eta_raw.items():
-            want = ((root,) if offset else ()) + tuple(
-                phi.point_value(x) for phi in sliced.phis
-            )
-            if tuple(entries) != want:
+        for x, thread in eta.items():
+            if eta_raw[x] != list(thread.entries):
                 raise ValueError(f"eta entry for {x!r} disagrees with the slice maps")
-            eta[x] = Thread(tuple(entries))
-        tops = [t.entries[-1] for t in eta.values()]
-        if len(set(tops)) != len(tops):
+        if len({t.entries[-1] for t in eta.values()}) != len(eta):
             raise ValueError("eta table is not injective")
 
     _check(checks, "eta table matches the sequence and is injective", run)
@@ -381,17 +376,20 @@ def _verify_embedding(payload: dict) -> list[Check]:
             raise ValueError("exhaustive search disagrees with the stated witness")
     _check(checks, "witness matches the exhaustive search", minimality)
 
+    @functools.cache
+    def scheduled() -> dict:  # tag -> task generator
+        return dict(_task_schedule(tuple(params["splits"])).entries)
+
+    canonical = _canonical_probes(space)
+
     def stated_lists():
         tags = [entry.get("tag") for entry in tasks]
-        want = [tag for tag, _ in _task_schedule(tuple(params["splits"])).entries]
+        want = list(scheduled())
         if not all(isinstance(tag, str) for tag in tags) or sorted(tags) != sorted(want):
             raise ValueError(f"task tags {tags!r} are not the scheduled splits {want!r}")
-        stated = [(e.get("level"), e.get("target_points"), e.get("target_map")) for e in probes]
-        canonical = [
-            (p.level, list(p.target.points), dict(p.quotient_map.mapping))
-            for p in _canonical_probes(space)
-        ]
-        if stated != canonical:
+        determined = [_probe_json(p) for p in canonical]
+        stated = [{key: e.get(key) for key in determined[0]} for e in probes]
+        if not _same_json(stated, determined):
             raise ValueError("probes are not the canonical probes of the space")
     _check(checks, "tasks and probes are those params and space determine", stated_lists)
 
@@ -399,30 +397,22 @@ def _verify_embedding(payload: dict) -> list[Check]:
     tasks_ok = True
     for i, entry in enumerate(tasks):
         def task_check(entry=entry):
-            points = serial.label_list(entry["source_points"], "source_points")
-            target = FiniteSpace(id=f"task{i}", points=points)
-            level = _index_field(entry, "source_level", space.depth)
-            src_obj = SliceObject(
-                base=space,
-                level=level,
-                target=target,
-                quotient_map=serial.map_from_json(
-                    entry["source_map"], space.levels[level], target, "task source", surjective=False
-                ),
-            )
-            stage = _index_field(entry, "stage", top)
-            arrow = SliceArrow(
-                src_obj,
-                sliced.phis[stage],
-                serial.map_from_json(entry["arrow_map"], target, sliced.seq.spaces[stage], "task arrow"),
-            )
+            # the split the tag names determines the task; only its witness was searched for
+            tag = entry.get("tag")
+            generate = scheduled().get(tag)
+            task = generate(sliced) if generate else None
+            if task is None:
+                raise ValueError(f"task tag {tag!r} names no split of this sequence")
+            for key, want in _task_json(task).items():
+                if not _same_json(entry.get(key), want):
+                    raise ValueError(f"{key} is not the one {tag!r} determines")
             beta = _index_field(entry, "witness_beta", top)
             witness_map = serial.map_from_json(
-                entry["witness_map"], sliced.seq.spaces[beta], target, "task witness"
+                entry["witness_map"], sliced.seq.spaces[beta], task.arrow.src.target, "task witness"
             )
-            SliceArrow(sliced.phis[beta], src_obj, witness_map)
-            if compose(arrow.q, witness_map) != sliced.seq.bonding(stage, beta):
-                raise ValueError(f"bonding({stage},{beta}) is not arrow o witness")
+            SliceArrow(sliced.phis[beta], task.arrow.src, witness_map)
+            if compose(task.arrow.q, witness_map) != sliced.seq.bonding(task.stage, beta):
+                raise ValueError(f"bonding({task.stage},{beta}) is not arrow o witness")
         tasks_ok &= _check(checks, f"task {entry.get('tag', i)} absorption witness", task_check)
 
     def log_lines():
@@ -444,21 +434,11 @@ def _verify_embedding(payload: dict) -> list[Check]:
         _check(checks, "log matches the sequence and the task witnesses", log_lines)
 
     for i, entry in enumerate(probes):
-        def probe_check(entry=entry):
-            points = serial.label_list(entry["target_points"], "target_points")
-            target = FiniteSpace(id=f"probe{i}", points=points)
-            level = _index_field(entry, "level", space.depth)
-            probe = SliceObject(
-                base=space,
-                level=level,
-                target=target,
-                quotient_map=serial.map_from_json(
-                    entry["target_map"], space.levels[level], target, "probe", surjective=False
-                ),
-            )
+        def probe_check(i=i, entry=entry):
+            probe = canonical[i]
             stage = _index_field(entry, "witness_stage", top)
             witness_map = serial.map_from_json(
-                entry["witness_map"], sliced.seq.spaces[stage], target, "probe witness"
+                entry["witness_map"], sliced.seq.spaces[stage], probe.target, "probe witness"
             )
             SliceArrow(sliced.phis[stage], probe, witness_map)
         _check(checks, f"probe {i} reachability witness", probe_check)
@@ -547,27 +527,28 @@ def _verify_retraction(payload: dict) -> list[Check]:
     _check(checks, "retraction is a natural arrow of sequences", arrow_check)
     if "arrow" not in holder:
         return checks
-    arrow = holder["arrow"]
+    # the arrow is natural, so its point table states it (see retraction_table)
+    derived = retraction_table(ambient, holder["arrow"])
 
     def left_inverse():
-        embedded = thread_embedding(space)
-        for x in space.points:
-            if apply_sequence_arrow(arrow, eta[x]) != embedded[x]:
+        for x, thread in eta.items():
+            if derived[thread.entries[-1]] != x:
                 raise ValueError(f"retraction does not restore base point {x!r}")
     _check(checks, "retraction is a left inverse of the embedding", left_inverse)
 
     def table_check():
-        embedding = thread_embedding(ambient)
-        for w in ambient.points:
-            want = apply_sequence_arrow(arrow, embedding[w]).entries[-1]
-            if table.get(w) != want:
-                raise ValueError(f"table entry for {w!r} disagrees with the arrow")
+        if table != derived:
+            w = next((w for w in derived if table.get(w) != derived[w]), None)
+            raise ValueError(
+                f"table entry for {w!r} disagrees with the arrow" if w is not None
+                else "table has entries off the ambient points"
+            )
     _check(checks, "point table matches the arrow", table_check)
 
     def certified_levels():
         for m in range(space.depth + 1):
             component = {
-                w: space.ancestor(space.depth, table[w], m) for w in ambient.points
+                w: space.ancestor(space.depth, derived[w], m) for w in ambient.points
             }
             if factoring_level(ambient, component) != reindex[m]:
                 raise ValueError(f"component {m} does not factor first at level {reindex[m]}")
@@ -630,22 +611,7 @@ def _verify_lift(payload: dict) -> list[Check]:
 
     _check(checks, "lift square commutes", square)
 
-    def equations():
-        if set(table) != set(ambient.levels[beta].points):
-            raise ValueError("ball table does not cover the level")
-        point_table = {
-            w: table[ambient.ancestor(ambient.depth, w, beta)] for w in ambient.points
-        }
-        if set(point_table.values()) != set(y_space.points):
-            raise ValueError("lift is not onto its source")
-        for w in ambient.points:
-            if f(point_table[w]) != g.get(w):
-                raise ValueError(f"first lift equation fails at {w!r}")
-        for x in pres.space.points:
-            if point_table[pres.eta_point(x)] != b[x]:
-                raise ValueError(f"second lift equation fails at base point {x!r}")
-
-    _check(checks, "lift equations hold pointwise", equations)
+    _check(checks, "lift equations hold pointwise", lambda: lift_point_table(pres, f, b, g, beta, table))
 
     def families():
         seen: set[str] = set()
@@ -677,6 +643,22 @@ def _verify_lift(payload: dict) -> list[Check]:
 def _raise_unless(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _same_json(got, want) -> bool:
+    """got == want, with every number of want stated with its JSON type:
+    `==` alone takes true and 1.0 for 1.  A string equals only a string, so
+    lists and objects of strings need no walk."""
+    if got != want:
+        return False
+    if type(want) is dict:
+        got, want = map(got.get, want), want.values()
+    elif type(want) is not list:
+        return type(got) is type(want)
+    kinds = set(map(type, want))
+    if kinds == {int}:
+        return set(map(type, got)) == {int}
+    return kinds <= {str} or all(map(_same_json, got, want))
 
 
 def _index_field(entry: dict, key: str, top: int) -> int:

@@ -276,20 +276,14 @@ def point_split_task(stage: int, point: str) -> tuple[str, TaskGenerator]:
         low, high = f"{point}<0", f"{point}<1"
         if low in phi.target or high in phi.target:
             raise ValueError(f"split labels for {point!r} collide with existing points")
-        points = []
-        for p in phi.target.points:
-            points.extend((low, high) if p == point else (p,))
-        split_space = FiniteSpace(id=f"{phi.target.id}|split({point})", points=tuple(points))
-        collapse = Surjection(
-            split_space,
-            phi.target,
-            {p: (point if p in (low, high) else p) for p in split_space.points},
-        )
+        i = phi.target.index(point)
+        head, tail = phi.target.points[:i], phi.target.points[i + 1:]
+        points = head + (low, high) + tail
+        split_space = FiniteSpace(id=f"{phi.target.id}|split({point})", points=points)
+        collapse = Surjection(split_space, phi.target, dict(zip(points, head + (point, point) + tail)))
         ball_space = phi.base.levels[phi.level]
-        lifted = {
-            b: (low if phi.quotient_map(b) == point else phi.quotient_map(b))
-            for b in ball_space.points
-        }
+        values = phi.quotient_map.mapping
+        lifted = {b: (low if values[b] == point else values[b]) for b in ball_space.points}
         split_obj = SliceObject(
             base=phi.base,
             level=phi.level,

@@ -23,12 +23,11 @@ from .balltree import (
     is_uniformly_nowhere_dense,
     met_balls,
     nearest_points,
-    thread_embedding,
     u_metric,
 )
 from .engine import BuildResult, PaddingSchedule, TaskSchedule, build_fraisse
 from .errors import DepthError, InputError
-from .sequences import SequenceArrow, SlicedSequence, Thread, apply_sequence_arrow
+from .sequences import SequenceArrow, SlicedSequence, Thread
 from .slices import SliceObject
 from .spaces import FiniteSpace, PointMap, Surjection
 
@@ -59,21 +58,21 @@ class GenericPresentation:
 
 
 def _validate_presentation(pres: GenericPresentation) -> None:
-    if set(pres.eta) != set(pres.space.points):
-        raise ValueError("eta must be defined exactly on the points of the base tree")
-    tops = [t.entries[-1] for t in pres.eta.values()]
-    if len(set(tops)) != len(tops):
+    if pres.eta != eta_threads(pres.sliced, pres.ambient):
+        raise ValueError("eta must send each base point to its thread through the slice maps")
+    if len({t.entries[-1] for t in pres.eta.values()}) != len(pres.eta):
         raise DepthError("eta is not injective: the sequence is too shallow to separate")
-    offset = pres.level_offset
-    for x, thread in pres.eta.items():
-        if len(thread.entries) != pres.ambient.depth + 1:
-            raise ValueError(f"eta thread for {x!r} has the wrong length")
-        for level, entry in enumerate(thread.entries):
-            if level < offset:
-                continue
-            want = pres.sliced.phis[level - offset].point_value(x)
-            if entry != want:
-                raise ValueError(f"eta thread for {x!r} disagrees with the slice maps at {level}")
+
+
+def eta_threads(sliced: SlicedSequence, ambient: BallTree) -> dict[str, Thread]:
+    """Each base point's thread through the ambient tree rebuilt from
+    `sliced`: its slice-map values level by level, under the root that
+    `from_sequence` prepends when the bottom space is not a singleton."""
+    root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
+    return {
+        x: Thread(root + tuple(phi.point_value(x) for phi in sliced.phis))
+        for x in sliced.base.points
+    }
 
 
 def embed_generic(
@@ -92,21 +91,13 @@ def embed_generic(
         raise DepthError(f"depth {depth} cannot separate a tree of depth {tree.depth}")
     build = build_fraisse(tree, depth, schedule, tasks)
     ambient = from_sequence(build.sequence.seq)
-    offset = ambient.depth - build.sequence.seq.length
-    root = ambient.levels[0].points[0]
-    eta = {}
-    for x in tree.points:
-        entries = ((root,) if offset else ()) + tuple(
-            phi.point_value(x) for phi in build.sequence.phis
-        )
-        eta[x] = Thread(entries)
     unwitnessed = GenericPresentation(
         space=tree,
         sliced=build.sequence,
         ambient=ambient,
-        eta=eta,
+        eta=eta_threads(build.sequence, ambient),
         witness=NowhereDenseWitness((), ()),
-        level_offset=offset,
+        level_offset=ambient.depth - build.sequence.seq.length,
         build=build,
     )
     choices = []
@@ -309,22 +300,43 @@ def lift_through_generic(
             ball_table[label] = y
             avoid[y].append(label)
 
-    point_table = {
-        w: ball_table[ambient.ancestor(ambient.depth, w, beta)] for w in ambient.points
-    }
-    if set(point_table.values()) != set(y_space.points):
-        raise AssertionError("the lift is not onto its source")
-    if not all(f(point_table[w]) == g[w] for w in ambient.points):
-        raise AssertionError("the lift breaks f o h = g")
-    if not all(point_table[pres.eta_point(x)] == b[x] for x in pres.space.points):
-        raise AssertionError("the lift breaks h o eta = b")
     return LiftResult(
         beta=beta,
         ball_table=ball_table,
-        point_table=point_table,
+        point_table=lift_point_table(pres, f, b, g, beta, ball_table),
         avoid_families={y: tuple(v) for y, v in avoid.items()},
         image_families={y: tuple(v) for y, v in image.items()},
     )
+
+
+def lift_point_table(
+    pres: GenericPresentation,
+    f: Surjection,
+    b: Mapping[str, str],
+    g: Mapping[str, str],
+    beta: int,
+    ball_table: Mapping[str, str],
+) -> dict[str, str]:
+    """The ambient point table of the lift h given on the level-beta balls,
+    once the lift equations hold pointwise: the ball table covers the level,
+    h is onto f's source, f o h = g and h o eta = b.
+
+    A broken clause raises an AssertionError naming it, which is a fault of
+    `lift_through_generic` and a FAIL line of `verify`.
+    """
+    ambient = pres.ambient
+    if set(ball_table) != set(ambient.levels[beta].points):
+        raise AssertionError("ball table does not cover the level")
+    point_table = {w: ball_table[chain[beta]] for w, chain in ambient._chains[-1].items()}
+    if set(point_table.values()) != set(f.dom.points):
+        raise AssertionError("lift is not onto its source")
+    for w, y in point_table.items():
+        if f(y) != g.get(w):
+            raise AssertionError(f"first lift equation fails at {w!r}")
+    for x in pres.space.points:
+        if point_table[pres.eta_point(x)] != b[x]:
+            raise AssertionError(f"second lift equation fails at base point {x!r}")
+    return point_table
 
 
 def brute_force_lift_oracle(
@@ -536,17 +548,21 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
         reindex=tuple(reindex),
         maps=tuple(maps),
     )
-    embedded = thread_embedding(base)
+    table = retraction_table(ambient, arrow)
     for x in base.points:
-        if apply_sequence_arrow(arrow, pres.eta[x]) != embedded[x]:
+        if table[pres.eta_point(x)] != x:
             raise AssertionError(f"the retraction does not restore base point {x!r}")
     return arrow
 
 
-def retraction_table(pres: GenericPresentation, arrow: SequenceArrow) -> dict[str, str]:
-    """Ambient point to base point table induced by a retraction arrow."""
-    embedding = thread_embedding(pres.ambient)
-    out = {}
-    for w in pres.ambient.points:
-        out[w] = apply_sequence_arrow(arrow, embedding[w]).entries[-1]
-    return out
+def retraction_table(ambient: BallTree, arrow: SequenceArrow) -> dict[str, str]:
+    """Ambient point to base point table of a retraction arrow, read off its
+    top map at each point's ancestor on the top reindex level.
+
+    The arrow is natural (`SequenceArrow` checks it), so it sends threads to
+    threads, and a base thread is fixed by its top entry: the table is the
+    arrow on threads, and `table[eta_point(x)] == x` says that the arrow is
+    a left inverse of the embedding.
+    """
+    top, level = arrow.maps[-1].mapping, arrow.reindex[-1]
+    return {w: top[chain[level]] for w, chain in ambient._chains[-1].items()}

@@ -156,11 +156,11 @@ def tree_from_json(data: Any, name: str = "tree") -> BallTree:
             f"{name}: parent row {a} must list one index per level-{a + 1} ball",
         )
         mapping = {}
+        size = len(lower)
         for child, idx in zip(upper.points, row):
-            require(
-                type(idx) is int and 0 <= idx < len(lower),
-                f"{name}: parent row {a}: index {idx!r} out of range",
-            )
+            # the message is formatted only for a bad index: this loop reads every ball
+            if type(idx) is not int or not 0 <= idx < size:
+                raise SchemaError(f"{name}: parent row {a}: index {idx!r} out of range")
             mapping[child] = lower.points[idx]
         try:
             parents.append(Surjection(upper, lower, mapping))
@@ -170,15 +170,6 @@ def tree_from_json(data: Any, name: str = "tree") -> BallTree:
         return BallTree(levels=tuple(levels), parents=tuple(parents))
     except ValueError as exc:
         raise SchemaError(f"{name}: {exc}") from None
-
-
-def trees_equal(a: BallTree, b: BallTree) -> bool:
-    """Structural equality: same level labels and same parent assignments."""
-    if a.depth != b.depth:
-        return False
-    if any(x.points != y.points for x, y in zip(a.levels, b.levels)):
-        return False
-    return all(x.mapping == y.mapping for x, y in zip(a.parents, b.parents))
 
 
 def map_from_json(data: Any, dom: FiniteSpace, cod: FiniteSpace, name: str, surjective: bool = True):

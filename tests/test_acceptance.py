@@ -311,7 +311,7 @@ def test_acceptance_07_homeomorphism_extension():
 def test_acceptance_08_retraction(k4_presentation):
     pres = k4_presentation
     arrow = retract_onto(pres)
-    table = retraction_table(pres, arrow)
+    table = retraction_table(pres.ambient, arrow)
     for x in pres.space.points:
         assert table[pres.eta_point(x)] == x
     chains = thread_embedding(pres.space)

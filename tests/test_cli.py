@@ -44,7 +44,7 @@ def test_tree_roundtrip():
     tree = binary_tree(3)
     data = serial.tree_to_json(tree)
     back = serial.tree_from_json(data)
-    assert serial.trees_equal(tree, back)
+    assert serial.tree_to_json(back) == data
 
 
 def test_embed_writes_verifiable_certificate(tmp_path, k4_path, capsys):
@@ -306,21 +306,30 @@ def test_split_of_unknown_point_exits_4(k4_path):
     assert run("embed", k4_path, "--split", "1:zz") == 4
 
 
+ABSORPTION = "absorption witness"
+STATED_LISTS = "tasks and probes are those params and space determine"
+
+
 @pytest.mark.parametrize(
-    "mutate, code",
+    "mutate, code, check",
     [
-        (lambda c: c["tasks"][0].update(stage=99), 1),
-        (lambda c: c["tasks"][0].update(stage="1"), 1),
-        (lambda c: c["tasks"][0].update(witness_beta=99), 1),
-        (lambda c: c["tasks"][0].update(source_level=-1), 1),
-        (lambda c: c["tasks"][0].update(source_points=5), 1),
-        (lambda c: c.update(tasks=5), 2),
-        (lambda c: c.update(probes=[5]), 2),
+        (lambda c: c["tasks"][0].update(stage=99), 1, ABSORPTION),
+        (lambda c: c["tasks"][0].update(stage="1"), 1, ABSORPTION),
+        (lambda c: c["tasks"][0].update(witness_beta=99), 1, ABSORPTION),
+        (lambda c: c["tasks"][0].update(source_level=-1), 1, ABSORPTION),
+        (lambda c: c["tasks"][0].update(source_points=5), 1, ABSORPTION),
+        (lambda c: c.update(tasks=5), 2, None),
+        (lambda c: c.update(probes=[5]), 2, None),
+        # each value compares equal to the integer it replaces, so only the type can fail it
+        (lambda c: c["tasks"][0].update(stage=True), 1, ABSORPTION),
+        (lambda c: c["tasks"][0].update(source_level=1.0), 1, ABSORPTION),
+        (lambda c: c["probes"][1].update(level=True), 1, STATED_LISTS),
     ],
     ids=["stage-99", "stage-str", "witness-beta-99", "source-level-negative",
-         "source-points-int", "tasks-int", "probe-int"],
+         "source-points-int", "tasks-int", "probe-int", "stage-true", "source-level-float",
+         "probe-level-true"],
 )
-def test_malformed_task_fields_fail_without_traceback(tmp_path, k4_path, mutate, code, capsys):
+def test_malformed_task_fields_fail_without_traceback(tmp_path, k4_path, mutate, code, check, capsys):
     out = tmp_path / "embed.json"
     assert run("embed", k4_path, "--depth", "4", "--split", "1:p0", "--out", out) == 0
     cert = json.loads(out.read_text())
@@ -333,9 +342,60 @@ def test_malformed_task_fields_fail_without_traceback(tmp_path, k4_path, mutate,
     captured = capsys.readouterr()
     if code == 1:
         fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
-        assert fails and all("absorption witness" in line for line in fails)
+        assert fails and all(check in line for line in fails)
     else:
         assert "parse error" in captured.err
+
+
+def _verify_fails(tmp_path, cert, capsys) -> list[str]:
+    """Re-digest a mutated certificate, verify it and return its FAIL lines."""
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "mutated.json"
+    path.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", path) == 1
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+
+
+def test_task_other_than_its_split_fails_its_absorption_check(tmp_path, k4_path, capsys):
+    # restate task 0 as the identity arrow on its stage, with a witness, a log
+    # line and a digest that all agree with it: only the split can tell
+    from ultrafraisse.engine import task_log_line
+
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--depth", "4", "--split", "1:p0", "--split", "2:00", "--out", out) == 0
+    cert = json.loads(out.read_text())
+    space = serial.tree_from_json(cert["space"])
+    seq = serial.sliced_from_json(cert["sequence"], space).seq
+    task = cert["tasks"][0]
+    stage, beta = task["stage"], task["witness_beta"]
+    phi = cert["sequence"]["phis"][stage]
+    points = cert["sequence"]["spaces"][stage]["points"]
+    task.update(
+        source_points=points,
+        source_level=phi["level"],
+        source_map=phi["map"],
+        arrow_map={p: p for p in points},
+        witness_map=dict(seq.bonding(stage, beta).mapping),
+    )
+    prefix = f"task {task['tag']}:"
+    cert["log"] = [
+        task_log_line(task["tag"], stage, beta, task["witness_map"]) if line.startswith(prefix) else line
+        for line in cert["log"]
+    ]
+    fails = _verify_fails(tmp_path, cert, capsys)
+    assert len(fails) == 1
+    assert fails[0].startswith(f"FAIL task {task['tag']} absorption witness: ")
+
+
+def test_retraction_table_with_a_key_off_the_ambient_fails(tmp_path, k4_path, capsys):
+    out = tmp_path / "retract.json"
+    assert run("retract", k4_path, "--depth", "4", "--out", out) == 0
+    cert = json.loads(out.read_text())
+    cert["table"]["*"] = next(iter(cert["table"].values()))
+    fails = _verify_fails(tmp_path, cert, capsys)
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL point table matches the arrow: ")
 
 
 def _set_all(row: list, value) -> None:
@@ -680,10 +740,11 @@ def test_any_exception_inside_a_check_is_a_fail_line(tmp_path, k4_path, monkeypa
     out = tmp_path / "embed.json"
     assert run("embed", k4_path, "--depth", "3", "--out", out) == 0
 
-    def broken_comparison(a, b):
+    def broken_writer(tree):
         raise IndexError("tuple index out of range")
 
-    monkeypatch.setattr(serial, "trees_equal", broken_comparison)
+    # the ambient check compares the stated section with the rebuilt tree's JSON form
+    monkeypatch.setattr(serial, "tree_to_json", broken_writer)
     capsys.readouterr()
     assert run("verify", out) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrafraisse.balltree import (
     BallTree,
@@ -6,9 +7,9 @@ from ultrafraisse.balltree import (
     thread_embedding,
     validate_witness,
 )
-from ultrafraisse.engine import TaskSchedule, point_split_task, verify_fraisse
+from ultrafraisse.engine import PaddingSchedule, TaskSchedule, point_split_task, verify_fraisse
 from ultrafraisse.errors import DepthError, InputError
-from ultrafraisse.fixtures import binary_tree
+from ultrafraisse.fixtures import binary_tree, random_tree
 from ultrafraisse.generic import (
     PartialHomeo,
     brute_force_lift_oracle,
@@ -232,13 +233,13 @@ def test_extend_rejects_depth_mismatch(tree_k4, schedule):
 def test_retract_one_point(schedule):
     pres = embed_generic(one_point_tree(), 3, schedule)
     arrow = retract_onto(pres)
-    table = retraction_table(pres, arrow)
+    table = retraction_table(pres.ambient, arrow)
     assert set(table.values()) == {"o"}
 
 
 def test_retract_k4_left_inverse_exhaustive(pres_k4, tree_k4):
     arrow = retract_onto(pres_k4)
-    table = retraction_table(pres_k4, arrow)
+    table = retraction_table(pres_k4.ambient, arrow)
     for x in tree_k4.points:
         assert table[pres_k4.eta_point(x)] == x
     # surjective: it has a right inverse
@@ -257,9 +258,28 @@ def test_retract_k4_left_inverse_exhaustive(pres_k4, tree_k4):
         assert apply_sequence_arrow(arrow, pres_k4.eta[x]) == chains[x]
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 2))
+def test_point_table_retraction_equals_the_thread_by_thread_arrow(seed, extra_depth):
+    tree = random_tree(seed, max_depth=3, max_points=12)
+    pres = embed_generic(tree, tree.depth + extra_depth, PaddingSchedule())
+    arrow = retract_onto(pres)
+    table = retraction_table(pres.ambient, arrow)
+    base_chains = thread_embedding(tree)
+    for w, thread in thread_embedding(pres.ambient).items():
+        image = apply_sequence_arrow(arrow, thread)
+        assert table[w] == image.entries[-1]
+        # the left inverse's table form: w goes to x exactly when w's thread goes to x's
+        for x, chain in base_chains.items():
+            assert (table[w] == x) == (image == chain)
+    for x in tree.points:
+        assert table[pres.eta_point(x)] == x
+        assert apply_sequence_arrow(arrow, pres.eta[x]) == base_chains[x]
+
+
 def test_retract_subset_presentation_is_nearest_point(tree_b3):
     pres = presentation_from_subset(tree_b3, ["000", "111"])
-    table = retraction_table(pres, retract_onto(pres))
+    table = retraction_table(pres.ambient, retract_onto(pres))
     assert table["001"] == "000"
     assert table["110"] == "111"
     assert table["000"] == "000" and table["111"] == "111"

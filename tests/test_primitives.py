@@ -739,7 +739,7 @@ def test_retraction_sends_each_point_to_its_nearest_embedded_point():
         anchors = [pres.eta_point(x) for x in tree.points]
         base_of = dict(zip(anchors, tree.points))
         want = {w: base_of[e] for w, e in ref_nearest(pres.ambient, anchors).items()}
-        assert retraction_table(pres, retract_onto(pres)) == want
+        assert retraction_table(pres.ambient, retract_onto(pres)) == want
 
 
 def old_probe_search(sliced, probe):
