@@ -29,9 +29,7 @@ from .engine import (
     build_fraisse,
     dominate_arrow,
     dominating_arrow,
-    make_ball_cover,
     make_padded_object,
-    make_splitter,
     point_split_task,
     verify_fraisse,
 )

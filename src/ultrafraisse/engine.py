@@ -3,8 +3,8 @@
 The building blocks are padded spaces: the balls of the base tree at one
 level, extended by a block of padding points that the map from the base
 never reaches.  Canonical surjections between padded spaces route ball
-labels along parent chains and padding through a round-robin splitter that
-feeds both the coarser padding and (via a cyclic cover) the coarser balls.
+labels along parent chains and padding round-robin onto both the coarser
+padding and, cyclically, the coarser balls (`pad_routes`).
 
 `build_fraisse` walks a rigid ball-level track, absorbing scheduled test
 arrows by pullback before each advance; the pad block per level grows just
@@ -57,11 +57,20 @@ class PaddingSchedule:
         return index
 
 
-def pad_space(schedule: PaddingSchedule, index: int) -> FiniteSpace:
-    return FiniteSpace(
-        id=f"pad{index}",
-        points=tuple(f"p{i}" for i in range(schedule.pad(index))),
-    )
+_pad_table: tuple[str, ...] = ()
+
+
+def _pad_labels(count: int) -> tuple[str, ...]:
+    """p0..p{count-1}, sliced from one process-wide table, so every pad block
+    shares the same label objects.  The table grows by rebinding a longer
+    tuple, never in place: a thread racing the growth at worst builds its
+    own equal copy."""
+    global _pad_table
+    table = _pad_table
+    if len(table) < count:
+        table += tuple(f"p{i}" for i in range(len(table), count))
+        _pad_table = table
+    return table[:count]
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ def make_padded_object(
     if not 0 <= ball_level <= tree.depth:
         raise ValueError(f"level {ball_level} out of range for depth {tree.depth}")
     balls = tree.levels[ball_level].points
-    pads = pad_space(schedule, pad_index).points
+    pads = _pad_labels(schedule.pad(pad_index))
     if set(balls) & set(pads):
         clash = sorted(set(balls) & set(pads))[0]
         raise ValueError(f"ball label {clash!r} collides with a pad label")
@@ -95,39 +104,22 @@ def make_padded_object(
     return PaddedObject(ball_level=ball_level, pad_index=pad_index, object=obj, pad_labels=pads)
 
 
-def make_splitter(
-    pad_lo: int, pad_hi: int, schedule: PaddingSchedule
-) -> dict[str, tuple[str, int]]:
-    """Round-robin map from the larger pad block to (smaller pad block) x {0,1}.
+def pad_routes(count: int, low: PaddedObject) -> list[str]:
+    """Where the canonical surjection onto `low` sends pads p0..p{count-1} of
+    a larger block.
 
-    For pad_lo < pad_hi every fiber is nonempty and sizes differ by at most
-    one; for pad_lo == pad_hi each pad is sent to itself with tag 1, which
-    makes the same-index canonical surjection the identity.
+    Pad i goes by its residue k = i mod 2m, m = pad(low): an odd k keeps the
+    pad p{k//2}, an even k goes to the ball balls[(k//2) mod B].  So the
+    first 2m routes are one period, and a block of at least 2m pads reaches
+    every point of `low`.
     """
-    if pad_lo > pad_hi:
-        raise ValueError(f"splitter needs pad_lo <= pad_hi, got ({pad_lo}, {pad_hi})")
-    hi_points = pad_space(schedule, pad_hi).points
-    if pad_lo == pad_hi:
-        return {x: (x, 1) for x in hi_points}
-    lo_points = pad_space(schedule, pad_lo).points
-    targets = [(p, tag) for p in lo_points for tag in (0, 1)]
-    if len(hi_points) < len(targets):
-        raise AssertionError(f"pad block {pad_hi} is too small to split pad block {pad_lo}")
-    return {x: targets[i % len(targets)] for i, x in enumerate(hi_points)}
-
-
-def make_ball_cover(
-    tree: BallTree, ball_level: int, pad_index: int, schedule: PaddingSchedule
-) -> Surjection:
-    """Cyclic surjection from a pad block onto the balls at one level."""
-    balls = tree.levels[ball_level]
-    pads = pad_space(schedule, pad_index)
+    balls, pads = low.ball_labels, low.pad_labels
     if len(pads) < len(balls):
         raise DepthError(
-            f"pad block {pad_index} has {len(pads)} points, cannot cover {len(balls)} balls"
+            f"pad block {low.pad_index} has {len(pads)} points, cannot cover {len(balls)} balls"
         )
-    mapping = {x: balls.points[i % len(balls)] for i, x in enumerate(pads.points)}
-    return Surjection(pads, balls, mapping)
+    cycle = [y for j, p in enumerate(pads) for y in (balls[j % len(balls)], p)]
+    return (cycle * (count // len(cycle) + 1))[:count]
 
 
 def dominating_arrow(
@@ -138,8 +130,8 @@ def dominating_arrow(
 ) -> SliceArrow:
     """Canonical surjection between padded objects, from `high` indices to `low`.
 
-    Ball labels follow the parent chain; a pad with splitter tag 1 lands on
-    the coarser pad, tag 0 lands on a ball through the cyclic cover.
+    Ball labels follow the parent chain and pads follow `pad_routes`; at
+    equal pad indices each pad stays put.
     """
     (alpha, xi), (beta, delta) = low, high
     if not (0 <= alpha <= beta <= tree.depth):
@@ -148,14 +140,9 @@ def dominating_arrow(
         raise ValueError(f"pad indices must satisfy {xi} <= {delta}")
     src = make_padded_object(tree, beta, delta, schedule)
     dst = make_padded_object(tree, alpha, xi, schedule)
-    splitter = make_splitter(xi, delta, schedule)
-    cover = make_ball_cover(tree, alpha, xi, schedule) if xi < delta else None
-    mapping = {}
-    for b in src.ball_labels:
-        mapping[b] = tree.ancestor(beta, b, alpha)
-    for x in src.pad_labels:
-        p, tag = splitter[x]
-        mapping[x] = p if tag == 1 else cover(p)
+    pads = src.pad_labels
+    mapping = {b: tree.ancestor(beta, b, alpha) for b in src.ball_labels}
+    mapping.update(zip(pads, pads if xi == delta else pad_routes(len(pads), dst)))
     q = Surjection(src.object.target, dst.object.target, mapping)
     return SliceArrow(src.object, dst.object, q)
 
@@ -172,8 +159,9 @@ def dominate_arrow(
 
     Given arrow: h -> dst, produce a deeper padded object P and an arrow
     g: P -> h with arrow.q o g.q equal (pointwise) to the canonical
-    surjection P -> dst.  The pad index grows until every splitter fiber is
-    large enough to cover the corresponding fiber of `arrow`.
+    surjection P -> dst.  The pad index grows until every fiber of the pad
+    routing is large enough to cover the corresponding fiber of `arrow`;
+    each candidate is counted, and only the chosen block is built.
     """
     if dst.object != arrow.dst:
         raise ValueError("`dst` is not the padded object the arrow lands in")
@@ -184,41 +172,36 @@ def dominate_arrow(
     if beta < max(alpha, h.level) or beta > tree.depth:
         raise DepthError(f"ball level {beta} cannot host the factored arrow")
 
-    ball_need = {z: len(arrow.q.fiber(z)) for z in dst.ball_labels}
-    pad_need = {p: len(arrow.q.fiber(p)) for p in dst.pad_labels}
+    # Pad i of a candidate block of n goes to cycle[i % period], so cycle[r]
+    # receives the #{i < n : i = r mod period} pads counted below.
+    cycle = pad_routes(2 * len(dst.pad_labels), dst)
+    period = len(cycle)
+    need = {y: len(arrow.q.fiber(y)) for y in dst.object.target.points}
     delta = max(xi + 1, pad_floor if pad_floor is not None else 0)
     while True:
-        splitter = make_splitter(xi, delta, schedule)
-        cover = make_ball_cover(tree, alpha, xi, schedule)
-        hi_points = pad_space(schedule, delta).points
-        tag1: dict[str, list[str]] = {p: [] for p in dst.pad_labels}
-        tag0: dict[str, list[str]] = {z: [] for z in dst.ball_labels}
-        for x in hi_points:
-            p, tag = splitter[x]
-            if tag == 1:
-                tag1[p].append(x)
-            else:
-                tag0[cover(p)].append(x)
-        short = [p for p in dst.pad_labels if len(tag1[p]) < pad_need[p]]
-        short += [z for z in dst.ball_labels if len(tag0[z]) < ball_need[z]]
-        if not short:
+        n = schedule.pad(delta)
+        got = dict.fromkeys(need, 0)
+        for r, y in enumerate(cycle):
+            got[y] += (n - r + period - 1) // period
+        if all(got[y] >= k for y, k in need.items()):
             break
         delta += 1
 
     padded = make_padded_object(tree, beta, delta, schedule)
-    mapping = {}
-    for b in padded.ball_labels:
-        mapping[b] = h.value_on_ball(beta, b)
+    routed: dict[str, list[str]] = {y: [] for y in need}
+    for x, y in zip(padded.pad_labels, pad_routes(len(padded.pad_labels), dst)):
+        routed[y].append(x)
+    mapping = {b: h.value_on_ball(beta, b) for b in padded.ball_labels}
     h_image = set(h.point_table().values())
     for p in dst.pad_labels:
         fiber = arrow.q.fiber(p)
-        for i, x in enumerate(tag1[p]):
+        for i, x in enumerate(routed[p]):
             mapping[x] = fiber[i % len(fiber)]
     for z in dst.ball_labels:
         fiber = arrow.q.fiber(z)
         reached = [y for y in fiber if y in h_image]
         fresh = [y for y in fiber if y not in h_image]
-        block = tag0[z]
+        block = routed[z]
         if fresh and reached:
             head, tail = block[: -len(fresh)], block[-len(fresh):]
         elif fresh:

@@ -1,5 +1,11 @@
-import pytest
+import sys
+import threading
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ultrafraisse import engine
 from ultrafraisse.engine import (
     FraisseTask,
     PaddingSchedule,
@@ -7,13 +13,13 @@ from ultrafraisse.engine import (
     build_fraisse,
     dominate_arrow,
     dominating_arrow,
-    make_ball_cover,
     make_padded_object,
-    make_splitter,
+    pad_routes,
     point_split_task,
     verify_fraisse,
 )
 from ultrafraisse.errors import DepthError
+from ultrafraisse.fixtures import random_tree
 from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_coherent
 from ultrafraisse.slices import SliceArrow, SliceObject, identity_arrow
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
@@ -46,29 +52,76 @@ def test_padded_object_preimage_law(tree_k4, schedule):
     assert not set(table.values()) & set(p.pad_labels)
 
 
-def test_splitter_round_robin(schedule):
-    # pad sizes 2 -> 4: four targets, each fiber a singleton
-    r = make_splitter(0, 1, schedule)
-    targets = [(p, t) for p in ("p0", "p1") for t in (0, 1)]
-    assert sorted(r.values()) == sorted(targets)
+def test_splitter_round_robin(tree_k4, schedule):
+    # two balls and two pads below: the four points take turns, ball before pad
+    low = make_padded_object(tree_k4, 1, 0, schedule)
+    targets = ["0", "p0", "1", "p1"]
+    # pad sizes 2 -> 4: each fiber a singleton
+    assert pad_routes(4, low) == targets
     # pad sizes 2 -> 8: each of the four targets has fiber size two
-    r = make_splitter(0, 2, schedule)
-    for tgt in targets:
-        assert sum(1 for v in r.values() if v == tgt) == 2
+    routes = pad_routes(8, low)
+    assert all(routes.count(y) == 2 for y in targets)
+    # odd positions keep a lower pad, even positions go to a ball
+    assert routes[1::2] == ["p0", "p1"] * 2 and routes[0::2] == ["0", "1"] * 2
 
 
-def test_splitter_same_index_is_tagged_identity(schedule):
-    r = make_splitter(2, 2, schedule)
-    assert all(v == (x, 1) for x, v in r.items())
+def test_splitter_same_index_is_tagged_identity(tree_k4, schedule):
+    pads = make_padded_object(tree_k4, 2, 0, schedule).pad_labels
+    for alpha in (0, 2):  # two pads cannot cover the four level-2 balls, nor need to
+        arrow = dominating_arrow(tree_k4, (alpha, 0), (2, 0), schedule)
+        assert all(arrow.q(x) == x for x in pads)
 
 
 def test_ball_cover(tree_k4, schedule):
-    one = make_ball_cover(tree_k4, 0, 0, schedule)
-    assert set(one.mapping.values()) == {""}
-    two = make_ball_cover(tree_k4, 1, 1, schedule)
-    assert [len(two.fiber(b)) for b in tree_k4.levels[1].points] == [2, 2]
+    one = pad_routes(2 * 2, make_padded_object(tree_k4, 0, 0, schedule))
+    assert set(one[0::2]) == {""}
+    two = pad_routes(2 * 4, make_padded_object(tree_k4, 1, 1, schedule))
+    assert [two[0::2].count(b) for b in tree_k4.levels[1].points] == [2, 2]
+    low = make_padded_object(tree_k4, 2, 0, schedule)
     with pytest.raises(DepthError, match="cover"):
-        make_ball_cover(tree_k4, 2, 0, schedule)  # 2 pads cannot cover 4 balls
+        pad_routes(4, low)  # 2 pads cannot cover 4 balls
+    with pytest.raises(DepthError, match="cover"):
+        dominating_arrow(tree_k4, (2, 0), (2, 1), schedule)
+
+
+def test_dominate_arrow_refuses_pads_that_cannot_cover_balls(tree_k4, schedule):
+    # no candidate block would ever reach every ball, so none is tried
+    padded = make_padded_object(tree_k4, 2, 0, schedule)
+    with pytest.raises(DepthError, match="cover"):
+        dominate_arrow(identity_arrow(padded.object), padded, schedule)
+
+
+def test_padded_objects_share_pad_labels(tree_k4, tree_b3, schedule):
+    small = make_padded_object(tree_k4, 0, 1, schedule).pad_labels
+    large = make_padded_object(tree_b3, 3, 3, schedule).pad_labels
+    assert large[: len(small)] == small
+    assert all(x is y for x, y in zip(small, large))
+
+
+def test_pad_labels_survive_racing_growth(monkeypatch):
+    # every thread grows the shared table from empty; growth that extended
+    # it in place could duplicate or reorder labels under a race
+    monkeypatch.setattr(engine, "_pad_table", ())
+    counts = [2 * 3**k for k in range(8)]
+    wrong = []
+
+    def grow(offset):
+        for count in counts[offset:] + counts[:offset]:
+            if engine._pad_labels(count) != tuple(f"p{i}" for i in range(count)):
+                wrong.append(count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_dominating_arrow_identity(tree_k4, schedule):
@@ -340,3 +393,158 @@ def test_verify_finds_no_witness_for_foreign_task(tree_k4, schedule):
     report = verify_fraisse(build.sequence, [task])
     # the split point doubles a fiber the short spine cannot cover
     assert report.tasks[0].status == "failed"
+
+
+# Reference implementation: the pad-block builders and the candidate loop
+# that the closed-form routing replaced, kept as they were.
+
+
+def oracle_pad_space(schedule: PaddingSchedule, index: int) -> FiniteSpace:
+    return FiniteSpace(
+        id=f"pad{index}",
+        points=tuple(f"p{i}" for i in range(schedule.pad(index))),
+    )
+
+
+def oracle_make_splitter(
+    pad_lo: int, pad_hi: int, schedule: PaddingSchedule
+) -> dict[str, tuple[str, int]]:
+    if pad_lo > pad_hi:
+        raise ValueError(f"splitter needs pad_lo <= pad_hi, got ({pad_lo}, {pad_hi})")
+    hi_points = oracle_pad_space(schedule, pad_hi).points
+    if pad_lo == pad_hi:
+        return {x: (x, 1) for x in hi_points}
+    lo_points = oracle_pad_space(schedule, pad_lo).points
+    targets = [(p, tag) for p in lo_points for tag in (0, 1)]
+    if len(hi_points) < len(targets):
+        raise AssertionError(f"pad block {pad_hi} is too small to split pad block {pad_lo}")
+    return {x: targets[i % len(targets)] for i, x in enumerate(hi_points)}
+
+
+def oracle_make_ball_cover(tree, ball_level: int, pad_index: int, schedule: PaddingSchedule):
+    balls = tree.levels[ball_level]
+    pads = oracle_pad_space(schedule, pad_index)
+    if len(pads) < len(balls):
+        raise DepthError(
+            f"pad block {pad_index} has {len(pads)} points, cannot cover {len(balls)} balls"
+        )
+    mapping = {x: balls.points[i % len(balls)] for i, x in enumerate(pads.points)}
+    return Surjection(pads, balls, mapping)
+
+
+def oracle_dominating_map(tree, low, high, schedule) -> dict[str, str]:
+    (alpha, xi), (beta, delta) = low, high
+    splitter = oracle_make_splitter(xi, delta, schedule)
+    cover = oracle_make_ball_cover(tree, alpha, xi, schedule) if xi < delta else None
+    mapping = {b: tree.ancestor(beta, b, alpha) for b in tree.levels[beta].points}
+    for x in oracle_pad_space(schedule, delta).points:
+        p, tag = splitter[x]
+        mapping[x] = p if tag == 1 else cover(p)
+    return mapping
+
+
+def oracle_dominate_arrow(arrow, dst, schedule, *, ball_level=None, pad_floor=None):
+    tree = arrow.src.base
+    h = arrow.src
+    alpha, xi = dst.ball_level, dst.pad_index
+    beta = min(tree.depth, max(alpha + 1, h.level)) if ball_level is None else ball_level
+    if beta < max(alpha, h.level) or beta > tree.depth:
+        raise DepthError(f"ball level {beta} cannot host the factored arrow")
+
+    ball_need = {z: len(arrow.q.fiber(z)) for z in dst.ball_labels}
+    pad_need = {p: len(arrow.q.fiber(p)) for p in dst.pad_labels}
+    delta = max(xi + 1, pad_floor if pad_floor is not None else 0)
+    while True:
+        splitter = oracle_make_splitter(xi, delta, schedule)
+        cover = oracle_make_ball_cover(tree, alpha, xi, schedule)
+        hi_points = oracle_pad_space(schedule, delta).points
+        tag1: dict[str, list[str]] = {p: [] for p in dst.pad_labels}
+        tag0: dict[str, list[str]] = {z: [] for z in dst.ball_labels}
+        for x in hi_points:
+            p, tag = splitter[x]
+            if tag == 1:
+                tag1[p].append(x)
+            else:
+                tag0[cover(p)].append(x)
+        short = [p for p in dst.pad_labels if len(tag1[p]) < pad_need[p]]
+        short += [z for z in dst.ball_labels if len(tag0[z]) < ball_need[z]]
+        if not short:
+            break
+        delta += 1
+
+    padded = make_padded_object(tree, beta, delta, schedule)
+    mapping = {}
+    for b in padded.ball_labels:
+        mapping[b] = h.value_on_ball(beta, b)
+    h_image = set(h.point_table().values())
+    for p in dst.pad_labels:
+        fiber = arrow.q.fiber(p)
+        for i, x in enumerate(tag1[p]):
+            mapping[x] = fiber[i % len(fiber)]
+    for z in dst.ball_labels:
+        fiber = arrow.q.fiber(z)
+        reached = [y for y in fiber if y in h_image]
+        fresh = [y for y in fiber if y not in h_image]
+        block = tag0[z]
+        if fresh and reached:
+            head, tail = block[: -len(fresh)], block[-len(fresh):]
+        elif fresh:
+            head, tail = [], block
+        else:
+            head, tail = block, []
+        for i, x in enumerate(head):
+            mapping[x] = reached[i % len(reached)]
+        for i, x in enumerate(tail):
+            mapping[x] = fresh[i % len(fresh)]
+    return padded, mapping
+
+
+schedules = st.builds(PaddingSchedule, st.integers(2, 3), st.integers(2, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), schedules, st.data())
+def test_dominating_arrow_matches_pad_block_oracle(seed, schedule, data):
+    tree = random_tree(seed, max_depth=3, max_points=12)
+    beta = data.draw(st.integers(0, tree.depth))
+    alpha = data.draw(st.integers(0, beta))
+    xi = data.draw(st.integers(0, 3))
+    delta = data.draw(st.integers(xi, xi + 2))
+    try:
+        want = oracle_dominating_map(tree, (alpha, xi), (beta, delta), schedule)
+    except DepthError:
+        with pytest.raises(DepthError, match="cover"):
+            dominating_arrow(tree, (alpha, xi), (beta, delta), schedule)
+        return
+    assert dominating_arrow(tree, (alpha, xi), (beta, delta), schedule).q.mapping == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), schedules, st.integers(0, 1), st.data())
+def test_dominate_arrow_matches_pad_block_oracle(seed, schedule, extra, data):
+    # every call the build makes, split tasks amalgamated, against the oracle
+    tree = random_tree(seed, max_depth=3, max_points=8)
+    depth = tree.depth + extra + 1
+    stages = build_fraisse(tree, depth, schedule).sequence.seq.spaces[:depth]
+    choices = [(s, p) for s, space in enumerate(stages) for p in space.points]
+    picked = data.draw(st.lists(st.sampled_from(choices), max_size=3, unique=True))
+    calls = []
+
+    def spy(arrow, dst, schedule, **options):
+        out = real(arrow, dst, schedule, **options)
+        calls.append((arrow, dst, options, out))
+        return out
+
+    real = engine.dominate_arrow
+    tasks = TaskSchedule(tuple(point_split_task(s, p) for s, p in picked))
+    with mock.patch.object(engine, "dominate_arrow", spy):
+        build = build_fraisse(tree, depth, schedule, tasks)
+    assert len(calls) == depth
+    # and each task arrow on its own, at the default ball level and floor
+    for _, task in build.tasks:
+        dst = build.padded[task.stage]
+        calls.append((task.arrow, dst, {}, dominate_arrow(task.arrow, dst, schedule)))
+    for arrow, dst, options, (padded, g) in calls:
+        want_padded, want_map = oracle_dominate_arrow(arrow, dst, schedule, **options)
+        assert padded.pad_index == want_padded.pad_index
+        assert g.q.mapping == want_map

@@ -6,6 +6,11 @@ content) and the `verify` lines with their PASS/SKIP marks, details cut.
 `test_outputs_are_byte_identical` compares two runs of the same code; this
 table compares the code with the code that recorded it.
 
+`golden/grid.json` does the same, digests only, for embed and retract over
+seeded random trees (uneven branching, unary chains) under four pad
+schedules, two sequence depths and 0-3 splits drawn from the stages' points.
+Growth 3 makes the pad blocks split unevenly, which growth 2 never does.
+
 Re-record only when a change is meant to alter certificate content or
 verify output:
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -25,11 +31,13 @@ import pytest
 
 from ultrafraisse import serial
 from ultrafraisse.cli import lift_certificate_payload, main
-from ultrafraisse.fixtures import binary_tree, k4
+from ultrafraisse.engine import PaddingSchedule, build_fraisse
+from ultrafraisse.fixtures import binary_tree, k4, random_tree
 from ultrafraisse.generic import lift_through_generic, presentation_from_subset
 from ultrafraisse.spaces import FiniteSpace, Surjection
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+GRID = Path(__file__).parent / "golden" / "grid.json"
 TREES = {"k4": k4, "b3": lambda: binary_tree(3)}
 SPLITS = ("--split", "1:p0", "--split", "2:00")
 
@@ -41,14 +49,37 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
     return code, out.getvalue().splitlines()
 
 
+def _produce(work: Path, command: str, tree, options: list[str]) -> Path:
+    tree_path = work / "tree.json"
+    tree_path.write_text(serial.dumps(serial.tree_to_json(tree)))
+    cert = work / "cert.json"
+    code, _ = _run([command, str(tree_path), *options, "--out", str(cert)])
+    assert code == 0
+    return cert
+
+
 def _cli_case(command: str, tree: str, depth: int, splits: tuple[str, ...]):
     def produce(work: Path) -> Path:
-        tree_path = work / f"{tree}.json"
-        tree_path.write_text(serial.dumps(serial.tree_to_json(TREES[tree]())))
-        cert = work / "cert.json"
-        code, _ = _run([command, str(tree_path), "--depth", str(depth), *splits, "--out", str(cert)])
-        assert code == 0
-        return cert
+        return _produce(work, command, TREES[tree](), ["--depth", str(depth), *splits])
+
+    return produce
+
+
+def _grid_case(command: str, seed: int, base: int, growth: int, extra: int):
+    """One grid certificate: random tree `seed`, sequence depth = tree depth
+    + `extra`, and 0-3 splits drawn by a rng seeded from the case."""
+
+    def produce(work: Path) -> Path:
+        tree = random_tree(seed, max_depth=3, max_points=8)
+        depth = tree.depth + extra
+        schedule = PaddingSchedule(base, growth)
+        # a split at stage s is absorbed into stage s + 1, so s < depth
+        stages = build_fraisse(tree, depth, schedule).sequence.seq.spaces[:depth]
+        choices = [f"{s}:{p}" for s, space in enumerate(stages) for p in space.points]
+        rng = random.Random(f"{seed}/{base}/{growth}/{extra}")
+        splits = [a for spec in rng.sample(choices, rng.randint(0, 3)) for a in ("--split", spec)]
+        options = ["--depth", str(depth), "--pad-base", str(base), "--pad-growth", str(growth)]
+        return _produce(work, command, tree, options + splits)
 
     return produce
 
@@ -94,11 +125,19 @@ CASES = {
 }
 CASES["extend-b3"] = _extend_case
 CASES["lift-b3"] = _lift_case
+GRID_CASES = {
+    f"{command}-rt{seed}-b{base}g{growth}-d+{extra}": _grid_case(command, seed, base, growth, extra)
+    for command in ("embed", "retract")
+    for seed in range(8)
+    for base, growth in ((2, 2), (3, 2), (2, 3), (3, 3))
+    for extra in (0, 1)
+}
+TABLES = ((GOLDEN, CASES), (GRID, GRID_CASES))
 
 
 def record(name: str, work: Path) -> dict:
     """Produce one case's certificate in `work`, verify it, and summarise both."""
-    cert = CASES[name](work)
+    cert = (CASES.get(name) or GRID_CASES[name])(work)
     integrity = json.loads(cert.read_text())["integrity"]
     code, lines = _run(["verify", str(cert)])
     assert code == 0, lines
@@ -116,13 +155,24 @@ def test_golden_covers_exactly_the_grid():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
 
 
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_certificate_matches_golden(name, tmp_path):
+    golden = json.loads(GRID.read_text())
+    assert record(name, tmp_path) == golden[name]
+
+
+def test_grid_golden_covers_exactly_the_grid():
+    assert sorted(json.loads(GRID.read_text())) == sorted(GRID_CASES)
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        table = {}
-        for name in sorted(CASES):
-            work = Path(tmp) / name
-            work.mkdir()
-            table[name] = record(name, work)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"{len(table)} certificates recorded in {GOLDEN}", file=sys.stderr)
+    for path, cases in TABLES:
+        with tempfile.TemporaryDirectory() as tmp:
+            table = {}
+            for name in sorted(cases):
+                work = Path(tmp) / name
+                work.mkdir()
+                table[name] = record(name, work)
+        path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+        print(f"{len(table)} certificates recorded in {path}", file=sys.stderr)
