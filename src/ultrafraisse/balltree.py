@@ -10,15 +10,14 @@ closer, and u(a, b) = d exactly when a = b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .spaces import FiniteSpace, Surjection
 from .sequences import InverseSequence, Report, Thread
 
 
-@dataclass(frozen=True)
-class BallTree:
+class BallTree(Record):
     levels: tuple[FiniteSpace, ...]
     parents: tuple[Surjection, ...]
 
@@ -173,8 +172,7 @@ def thread_embedding(tree: BallTree) -> dict[str, Thread]:
     return {p: Thread(tree._chains[tree.depth][p]) for p in tree.points}
 
 
-@dataclass(frozen=True)
-class NowhereDenseWitness:
+class NowhereDenseWitness(Record):
     """A per-level certificate that a point set is uniformly nowhere dense.
 
     For each level alpha < depth, `target_levels[alpha]` is a level beta > alpha
@@ -186,8 +184,7 @@ class NowhereDenseWitness:
     choices: tuple[dict[str, str], ...]
 
 
-@dataclass(frozen=True)
-class NowhereDenseFailure:
+class NowhereDenseFailure(Record):
     """Least level at which no avoiding deeper ball exists, with an offending ball."""
 
     level: int

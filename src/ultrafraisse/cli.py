@@ -11,9 +11,9 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ._record import Record
 from .balltree import (
     ball_quotients,
     factoring_level,
@@ -54,8 +54,7 @@ from .spaces import FiniteSpace, Surjection, compose, identity
 from . import serial
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Parsed command line: all algorithms are deterministic, the seed label
     is recorded in certificates verbatim."""
 
@@ -138,6 +137,15 @@ def _probe_json(probe: SliceObject) -> dict:
     }
 
 
+def _check_task_witness(sliced: SlicedSequence, task: FraisseTask, beta: int, witness) -> None:
+    """A task's absorption witness at stage beta: a slice arrow from phis[beta]
+    onto the task's source with bonding(stage, beta) = arrow o witness.
+    Raises ValueError when it is not one."""
+    SliceArrow(sliced.phis[beta], task.arrow.src, witness)
+    if compose(task.arrow.q, witness) != sliced.seq.bonding(task.stage, beta):
+        raise ValueError(f"bonding({task.stage},{beta}) is not arrow o witness")
+
+
 def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
     """Embed the input tree, and state the embedding as the presentation
     section (params, space, sequence, ambient, eta) that embedding and
@@ -164,10 +172,15 @@ def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
 def cmd_embed(config: RunConfig) -> dict:
     pres, section = _presentation(config)
     probes = _canonical_probes(pres.space)
-    task_list = [t for _, t in pres.build.tasks]
-    report = verify_fraisse(pres.sliced, task_list, probes, bound=config.bounds)
+    report = verify_fraisse(pres.sliced, (), probes, bound=config.bounds)
     if not report.ok:
         raise RuntimeError("engine bug: freshly built sequence failed its own certification")
+    for tag, task in pres.build.tasks:
+        witness = pres.build.witnesses[tag]
+        try:
+            _check_task_witness(pres.sliced, task, witness.beta, witness.mapping)
+        except ValueError as exc:
+            raise RuntimeError(f"engine bug: the build's witness for task {tag!r} fails: {exc}") from None
     payload = {
         "kind": "embedding-certificate",
         **section,
@@ -410,9 +423,7 @@ def _verify_embedding(payload: dict) -> list[Check]:
             witness_map = serial.map_from_json(
                 entry["witness_map"], sliced.seq.spaces[beta], task.arrow.src.target, "task witness"
             )
-            SliceArrow(sliced.phis[beta], task.arrow.src, witness_map)
-            if compose(task.arrow.q, witness_map) != sliced.seq.bonding(task.stage, beta):
-                raise ValueError(f"bonding({task.stage},{beta}) is not arrow o witness")
+            _check_task_witness(sliced, task, beta, witness_map)
         tasks_ok &= _check(checks, f"task {entry.get('tag', i)} absorption witness", task_check)
 
     def log_lines():
@@ -727,8 +738,7 @@ def cmd_demo(config: RunConfig) -> int:
     binary_path = out_dir / "binary3.json"
     binary_path.write_text(serial.dumps(serial.tree_to_json(binary_tree(3))))
 
-    embed_cfg = replace(
-        config,
+    embed_cfg = config.replace(
         command="embed",
         inputs=(str(k4_path),),
         out=str(out_dir / "k4-embedding.json"),
@@ -744,22 +754,21 @@ def cmd_demo(config: RunConfig) -> int:
     }
     extend_in_path = out_dir / "swap-input.json"
     extend_in_path.write_text(serial.dumps(extend_input))
-    extend_cfg = replace(
-        config,
+    extend_cfg = config.replace(
         command="extend",
         inputs=(str(extend_in_path),),
         out=str(out_dir / "swap-extension.json"),
     )
     _emit(extend_cfg, cmd_extend(extend_cfg), "extension certificate")
 
-    retract_cfg = replace(
-        embed_cfg, command="retract", out=str(out_dir / "k4-retraction.json"), splits=()
+    retract_cfg = embed_cfg.replace(
+        command="retract", out=str(out_dir / "k4-retraction.json"), splits=()
     )
     _emit(retract_cfg, cmd_retract(retract_cfg), "retraction certificate")
 
     worst = 0
     for cert in ("k4-embedding.json", "swap-extension.json", "k4-retraction.json"):
-        verify_cfg = replace(config, command="verify", inputs=(str(out_dir / cert),))
+        verify_cfg = config.replace(command="verify", inputs=(str(out_dir / cert),))
         checks, code = cmd_verify(verify_cfg)
         status = "ok" if code == 0 else "FAILED"
         print(f"{cert}: {status} ({len(checks)} checks)")

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 from typing import Callable, Mapping, Sequence
 
+from ._record import Record
 from .balltree import BallTree
 from .errors import DepthError
 from .sequences import InverseSequence, SlicedSequence
@@ -27,8 +28,7 @@ from .slices import SliceArrow, SliceObject, amalgamate_slice
 from .spaces import FiniteSpace, PointMap, Surjection, compose, identity
 
 
-@dataclass(frozen=True)
-class PaddingSchedule:
+class PaddingSchedule(Record):
     """Geometric pad sizes: level g gets base * growth**g padding points.
 
     growth >= 2 keeps every splitter fiber nonempty (pad(d) >= 2 * pad(x)
@@ -73,8 +73,7 @@ def _pad_labels(count: int) -> tuple[str, ...]:
     return table[:count]
 
 
-@dataclass(frozen=True)
-class PaddedObject:
+class PaddedObject(Record):
     """A slice object onto (balls at one level) + (an unreached pad block)."""
 
     ball_level: int
@@ -176,7 +175,7 @@ def dominate_arrow(
     # receives the #{i < n : i = r mod period} pads counted below.
     cycle = pad_routes(2 * len(dst.pad_labels), dst)
     period = len(cycle)
-    need = {y: len(arrow.q.fiber(y)) for y in dst.object.target.points}
+    need = Counter(arrow.q.mapping.values())  # fiber sizes; arrow.q is onto, so every point is a key
     delta = max(xi + 1, pad_floor if pad_floor is not None else 0)
     while True:
         n = schedule.pad(delta)
@@ -188,8 +187,9 @@ def dominate_arrow(
         delta += 1
 
     padded = make_padded_object(tree, beta, delta, schedule)
+    routes = pad_routes(len(padded.pad_labels), dst)
     routed: dict[str, list[str]] = {y: [] for y in need}
-    for x, y in zip(padded.pad_labels, pad_routes(len(padded.pad_labels), dst)):
+    for x, y in zip(padded.pad_labels, routes):
         routed[y].append(x)
     mapping = {b: h.value_on_ball(beta, b) for b in padded.ball_labels}
     h_image = set(h.point_table().values())
@@ -213,14 +213,15 @@ def dominate_arrow(
         for i, x in enumerate(tail):
             mapping[x] = fresh[i % len(fresh)]
     g = SliceArrow(padded.object, h, Surjection(padded.object.target, h.target, mapping))
-    canonical = dominating_arrow(tree, (alpha, xi), (beta, delta), schedule)
-    if compose(arrow.q, g.q) != canonical.q:
+    # the canonical surjection onto dst, as dominating_arrow defines it (delta > xi)
+    canonical = {b: tree.ancestor(beta, b, alpha) for b in padded.ball_labels}
+    canonical.update(zip(padded.pad_labels, routes))
+    if compose(arrow.q, g.q).mapping != canonical:
         raise AssertionError("the factored arrow does not compose to the canonical surjection")
     return padded, g
 
 
-@dataclass(frozen=True)
-class FraisseTask:
+class FraisseTask(Record):
     """An arrow into one stage of the sequence, to be absorbed by the build."""
 
     stage: int
@@ -234,8 +235,7 @@ class FraisseTask:
 TaskGenerator = Callable[[SlicedSequence], FraisseTask | None]
 
 
-@dataclass(frozen=True)
-class TaskSchedule:
+class TaskSchedule(Record):
     """FIFO list of (tag, generator); a generator may wait (return None)
     until the stage it targets exists."""
 
@@ -278,16 +278,14 @@ def point_split_task(stage: int, point: str) -> tuple[str, TaskGenerator]:
     return f"split:{stage}:{point}", generate
 
 
-@dataclass(frozen=True)
-class TaskWitness:
+class TaskWitness(Record):
     tag: str
     stage: int
     beta: int
     mapping: Surjection
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(Record):
     sequence: SlicedSequence
     padded: tuple[PaddedObject, ...]
     tasks: tuple[tuple[str, FraisseTask], ...]
@@ -414,8 +412,7 @@ def build_fraisse(
     )
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     index: int
     status: str
     level: int | None = None
@@ -423,8 +420,7 @@ class ProbeResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(Record):
     index: int
     status: str
     beta: int | None = None
@@ -432,8 +428,7 @@ class TaskResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FraisseReport:
+class FraisseReport(Record):
     probes: tuple[ProbeResult, ...]
     tasks: tuple[TaskResult, ...]
 

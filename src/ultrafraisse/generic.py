@@ -11,9 +11,9 @@ can be compared on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from ._record import Record
 from .balltree import (
     BallTree,
     NowhereDenseWitness,
@@ -32,8 +32,7 @@ from .slices import SliceObject
 from .spaces import FiniteSpace, PointMap, Surjection
 
 
-@dataclass(frozen=True)
-class GenericPresentation:
+class GenericPresentation(Record):
     """An embedding of `space` into the limit of `sliced`, with certificate."""
 
     space: BallTree
@@ -111,7 +110,7 @@ def embed_generic(
             choice[label] = free[0]
         choices.append(choice)
     witness = NowhereDenseWitness(tuple(range(1, ambient.depth + 1)), tuple(choices))
-    pres = replace(unwitnessed, witness=witness)
+    pres = unwitnessed.replace(witness=witness)
     _validate_presentation(pres)
     return pres
 
@@ -177,8 +176,7 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
     return pres
 
 
-@dataclass(frozen=True)
-class LiftResult:
+class LiftResult(Record):
     """A lift constant on the balls of one ambient level, with its allocation."""
 
     beta: int
@@ -382,8 +380,7 @@ def brute_force_lift_oracle(
     return out
 
 
-@dataclass(frozen=True)
-class PartialHomeo:
+class PartialHomeo(Record):
     """A bijection between two embedded base trees respecting balls level-by-level."""
 
     src: GenericPresentation
@@ -421,8 +418,7 @@ class PartialHomeo:
                     )
 
 
-@dataclass(frozen=True)
-class AmbientAutoMap:
+class AmbientAutoMap(Record):
     """Level-wise bijections between two ambient trees commuting with parents."""
 
     src: BallTree

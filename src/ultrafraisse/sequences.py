@@ -7,13 +7,11 @@ to exactly one compatible tuple, so the limit is materialized eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .spaces import FiniteSpace, PointMap, Surjection, compose, identity
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Outcome of a report-style check: empty `issues` means valid."""
 
     issues: tuple[str, ...] = ()
@@ -23,8 +21,7 @@ class Report:
         return not self.issues
 
 
-@dataclass(frozen=True)
-class InverseSequence:
+class InverseSequence(Record):
     spaces: tuple[FiniteSpace, ...]
     steps: tuple[PointMap, ...]
 
@@ -59,8 +56,7 @@ class InverseSequence:
         return out
 
 
-@dataclass(frozen=True)
-class Thread:
+class Thread(Record):
     """A compatible tuple through a sequence: steps send each entry to the one below."""
 
     entries: tuple[str, ...]
@@ -110,8 +106,7 @@ def is_thread_of(t: Thread, seq: InverseSequence) -> bool:
     return all(step(t.entries[a + 1]) == t.entries[a] for a, step in enumerate(seq.steps))
 
 
-@dataclass(frozen=True)
-class SequenceArrow:
+class SequenceArrow(Record):
     """A level-wise family of surjections src -> dst along a nondecreasing reindexing.
 
     maps[a] sends src.spaces[reindex[a]] onto dst.spaces[a]; naturality makes the
@@ -151,8 +146,7 @@ def apply_sequence_arrow(arrow: SequenceArrow, t: Thread) -> Thread:
     return out
 
 
-@dataclass(frozen=True)
-class SlicedSequence:
+class SlicedSequence(Record):
     """An inverse sequence together with compatible maps from a fixed base space.
 
     phis[a] is a slice object whose target is spaces[a]; each step must carry

@@ -8,14 +8,12 @@ discrete form of uniform continuity.  Objects need not be onto their target
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .balltree import BallTree
 from .spaces import FiniteSpace, PointMap, Surjection, pair_label, pullback
 
 
-@dataclass(frozen=True)
-class SliceObject:
+class SliceObject(Record):
     """A map base -> target given by its action on the level-`level` balls."""
 
     base: BallTree
@@ -47,8 +45,7 @@ class SliceObject:
         return {p: self.point_value(p) for p in self.base.points}
 
 
-@dataclass(frozen=True)
-class SliceArrow:
+class SliceArrow(Record):
     """A surjection between slice targets commuting with the maps from the base."""
 
     src: SliceObject

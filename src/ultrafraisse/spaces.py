@@ -7,12 +7,12 @@ round-robin assignments, witness selection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class FiniteSpace:
+
+class FiniteSpace(Record):
     """A nonempty finite set of labelled points with a fixed order."""
 
     id: str

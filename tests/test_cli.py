@@ -210,6 +210,32 @@ def test_internal_error_has_its_own_exit_code(tmp_path, k4_path, monkeypatch, ca
     assert capsys.readouterr().err == "internal error: KeyError: 'lost label'\n"
 
 
+def test_embed_checks_the_build_witnesses_it_writes(tmp_path, k4_path, monkeypatch, capsys):
+    from ultrafraisse import cli
+    from ultrafraisse.spaces import Surjection
+
+    real = cli.embed_generic
+
+    def corrupted(*args):
+        # swap the images of two stage points whose images the task arrow keeps apart
+        pres = real(*args)
+        tag, witness = next(iter(pres.build.witnesses.items()))
+        q = dict(pres.build.tasks)[tag].arrow.q
+        mapping = dict(witness.mapping.mapping)
+        x = next(iter(mapping))
+        y = next(p for p in mapping if q(mapping[p]) != q(mapping[x]))
+        mapping[x], mapping[y] = mapping[y], mapping[x]
+        bad = witness.replace(mapping=Surjection(witness.mapping.dom, witness.mapping.cod, mapping))
+        return pres.replace(build=pres.build.replace(witnesses={**pres.build.witnesses, tag: bad}))
+
+    monkeypatch.setattr(cli, "embed_generic", corrupted)
+    capsys.readouterr()
+    out = tmp_path / "x.json"
+    assert run("embed", k4_path, "--depth", "3", "--split", "1:p0", "--out", out) == 5
+    assert "engine bug: the build's witness for task 'split:1:p0' fails" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_retraction_mutation_fails(tmp_path, k4_path):
     out = tmp_path / "ret.json"
     run("retract", k4_path, "--depth", "4", "--out", out)
