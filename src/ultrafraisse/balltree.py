@@ -32,9 +32,11 @@ class BallTree(Record):
             if par.dom != self.levels[a + 1] or par.cod != self.levels[a]:
                 raise ValueError(f"parent map {a} does not map level {a + 1} onto level {a}")
         # ancestor chains: _chains[level][ball] = (ancestor at 0, ..., ball)
+        # in level order, read off each parent map's table
         chains: list[dict[str, tuple[str, ...]]] = [{b: (b,) for b in self.levels[0].points}]
         for a, par in enumerate(self.parents):
-            chains.append({b: chains[a][par(b)] + (b,) for b in self.levels[a + 1].points})
+            up, parent = chains[a], par.mapping
+            chains.append({b: up[parent[b]] + (b,) for b in self.levels[a + 1].points})
         object.__setattr__(self, "_chains", tuple(chains))
         # _below[(beta, level)][ball] = the level-beta balls inside the ball, filled on demand
         object.__setattr__(self, "_below", {})
@@ -235,13 +237,15 @@ def is_uniformly_nowhere_dense(
 
     For every level alpha the least beta > alpha is found such that each
     alpha-ball contains a beta-ball disjoint from the subset, together with
-    the lexicographically least such ball per alpha-ball.  If some level
+    the first such ball in level order per alpha-ball.  If some level
     admits no beta at all, the least failing level is returned instead.
 
-    One bottom-up pass finds each ball's first free level: the least level
-    holding a descendant (the ball itself included) that avoids the subset.
-    Every descendant of a free ball is free and every ball has a child, so
-    a ball holds a free beta-ball exactly when beta reaches that level.
+    One bottom-up pass, over each level's parent map once, finds each
+    ball's first free level: the least level holding a descendant (the ball
+    itself included) that avoids the subset.  Every descendant of a free
+    ball is free and every ball has a child, so a ball holds a free
+    beta-ball exactly when beta reaches that level.  Each level's choices
+    are then one pass over the beta-balls in level order.
     """
     avoid = frozenset(subset)
     unknown = [p for p in avoid if p not in tree.levels[-1]]
@@ -254,11 +258,13 @@ def is_uniformly_nowhere_dense(
     first: list[dict[str, int]] = [{} for _ in tree.levels]
     first[-1] = dict.fromkeys(met[-1], never)
     for level in range(tree.depth - 1, -1, -1):
-        below = first[level + 1]
-        first[level] = {
-            b: min(below.get(c, level + 1) for c in tree.parents[level].fiber(b))
-            for b in met[level]
-        }
+        below, here = first[level + 1], dict.fromkeys(met[level], never)
+        for child, parent in tree.parents[level].mapping.items():
+            if parent in here:
+                got = below.get(child, level + 1)
+                if got < here[parent]:
+                    here[parent] = got
+        first[level] = here
     target_levels = []
     choices = []
     for alpha in range(tree.depth):
@@ -267,12 +273,12 @@ def is_uniformly_nowhere_dense(
             worst = next(b for b in tree.levels[alpha].points if first[alpha].get(b) == never)
             return NowhereDenseFailure(level=alpha, ball=worst)
         target_levels.append(beta)
-        choices.append(
-            {
-                label: next(b for b in tree.descendants(alpha, label, beta) if b not in met[beta])
-                for label in tree.levels[alpha].points
-            }
-        )
+        taken = met[beta]
+        picked: dict[str, str] = {}
+        for b, chain in tree._chains[beta].items():
+            if b not in taken:
+                picked.setdefault(chain[alpha], b)
+        choices.append({label: picked[label] for label in tree.levels[alpha].points})
     return NowhereDenseWitness(tuple(target_levels), tuple(choices))
 
 

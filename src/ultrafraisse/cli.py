@@ -78,12 +78,16 @@ class RunConfig(Record):
 
 
 def _read_json(path: str):
+    # bytes, decoded here: pathlib's text layer costs more than the decode
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: malformed JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
@@ -708,10 +712,16 @@ def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
     return checks, 1 if failed else 0
 
 
+def _write(path, text: str) -> None:
+    """Write ASCII text as bytes, without pathlib's text layer."""
+    with open(path, "wb") as handle:
+        handle.write(text.encode())
+
+
 def _emit(config: RunConfig, payload: dict, summary: str) -> None:
     text = serial.dumps(payload)
     if config.out:
-        Path(config.out).write_text(text)
+        _write(config.out, text)
         print(f"{summary} -> {config.out}")
     else:
         sys.stdout.write(text)
@@ -734,9 +744,9 @@ def cmd_demo(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     k4_path = out_dir / "k4.json"
-    k4_path.write_text(serial.dumps(serial.tree_to_json(k4())))
+    _write(k4_path, serial.dumps(serial.tree_to_json(k4())))
     binary_path = out_dir / "binary3.json"
-    binary_path.write_text(serial.dumps(serial.tree_to_json(binary_tree(3))))
+    _write(binary_path, serial.dumps(serial.tree_to_json(binary_tree(3))))
 
     embed_cfg = config.replace(
         command="embed",
@@ -753,7 +763,7 @@ def cmd_demo(config: RunConfig) -> int:
         "map": {"000": "111"},
     }
     extend_in_path = out_dir / "swap-input.json"
-    extend_in_path.write_text(serial.dumps(extend_input))
+    _write(extend_in_path, serial.dumps(extend_input))
     extend_cfg = config.replace(
         command="extend",
         inputs=(str(extend_in_path),),

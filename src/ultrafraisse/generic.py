@@ -66,12 +66,17 @@ def _validate_presentation(pres: GenericPresentation) -> None:
 def eta_threads(sliced: SlicedSequence, ambient: BallTree) -> dict[str, Thread]:
     """Each base point's thread through the ambient tree rebuilt from
     `sliced`: its slice-map values level by level, under the root that
-    `from_sequence` prepends when the bottom space is not a singleton."""
+    `from_sequence` prepends when the bottom space is not a singleton.
+
+    Each slice map's table is read once, down the base points' chains, as
+    `point_value` reads it."""
     root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
-    return {
-        x: Thread(root + tuple(phi.point_value(x) for phi in sliced.phis))
-        for x in sliced.base.points
-    }
+    points = sliced.base.points
+    rows = list(map(sliced.base._chains[-1].__getitem__, points))
+    columns = [
+        [phi.quotient_map.mapping[row[phi.level]] for row in rows] for phi in sliced.phis
+    ]
+    return {x: Thread(root + entries) for x, entries in zip(points, zip(*columns))}
 
 
 def embed_generic(
@@ -99,16 +104,19 @@ def embed_generic(
         level_offset=ambient.depth - build.sequence.seq.length,
         build=build,
     )
+    # each ball's first child, in level order, that the image misses: one
+    # pass over the level below and its parent map
     choices = []
     for alpha in range(ambient.depth):
         marked = unwitnessed.holders(alpha + 1)
-        choice = {}
-        for label in ambient.levels[alpha].points:
-            free = [c for c in ambient.children(alpha, label) if c not in marked]
-            if not free:
-                raise AssertionError("every padded stage keeps a pad child under each ball")
-            choice[label] = free[0]
-        choices.append(choice)
+        parent = ambient.parents[alpha].mapping
+        free: dict[str, str] = {}
+        for c in ambient.levels[alpha + 1].points:
+            if c not in marked:
+                free.setdefault(parent[c], c)
+        if len(free) != len(ambient.levels[alpha]):
+            raise AssertionError("every padded stage keeps a pad child under each ball")
+        choices.append({label: free[label] for label in ambient.levels[alpha].points})
     witness = NowhereDenseWitness(tuple(range(1, ambient.depth + 1)), tuple(choices))
     pres = unwitnessed.replace(witness=witness)
     _validate_presentation(pres)
@@ -137,11 +145,12 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
     ]
     parents = []
     for alpha in range(ambient.depth):
+        parent = ambient.parents[alpha].mapping
         parents.append(
             Surjection(
                 levels[alpha + 1],
                 levels[alpha],
-                {b: ambient.parents[alpha](b) for b in levels[alpha + 1].points},
+                {b: parent[b] for b in levels[alpha + 1].points},
             )
         )
     base = BallTree(levels=tuple(levels), parents=tuple(parents))
@@ -395,13 +404,12 @@ class PartialHomeo(Record):
             raise InputError("mapping is not injective")
         src, dst = self.src.space, self.dst.space
         common = min(src.depth, dst.depth)
+        src_chains, dst_chains = src._chains[-1], dst._chains[-1]
+        rows = [(src_chains[x], dst_chains[y]) for x, y in self.mapping.items()]
         # x, y share a level-a ball iff their images do, for every a <= common:
         # the level-a balls then correspond one to one.
         for a in range(1, common + 1):
-            pairs = {
-                (src.ancestor(src.depth, x, a), dst.ancestor(dst.depth, y, a))
-                for x, y in self.mapping.items()
-            }
+            pairs = {(s[a], d[a]) for s, d in rows}
             if len(pairs) != len({s for s, _ in pairs}) or len(pairs) != len({d for _, d in pairs}):
                 break
         else:
@@ -437,8 +445,10 @@ class AmbientAutoMap(Record):
                 raise ValueError(f"level {level} map is not a bijection")
         for level in range(self.src.depth):
             upper, lower = self.level_maps[level + 1], self.level_maps[level]
+            src_parent = self.src.parents[level].mapping
+            dst_parent = self.dst.parents[level].mapping
             for child in self.src.levels[level + 1].points:
-                if self.dst.parents[level](upper[child]) != lower[self.src.parents[level](child)]:
+                if dst_parent[upper[child]] != lower[src_parent[child]]:
                     raise ValueError(f"level maps do not commute with parents at {child!r}")
 
     def apply(self, thread: Thread) -> Thread:
@@ -469,6 +479,8 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 f"{len(dst_amb.levels[level])} balls; the presentations are incompatible"
             )
         src_marked, dst_marked = p.src.holders(level), p.dst.holders(level)
+        src_kids = src_amb.parents[level - 1].fibers()
+        dst_kids = dst_amb.parents[level - 1].fibers()
         table: dict[str, str] = {}
         parents_pairs = list(level_maps[level - 1].items())
         if level % 2 == 0:
@@ -476,8 +488,7 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 parents_pairs, key=lambda vw: dst_amb.levels[level - 1].index(vw[1])
             )
         for v, w in parents_pairs:
-            src_children = src_amb.children(level - 1, v)
-            dst_children = dst_amb.children(level - 1, w)
+            src_children, dst_children = src_kids.get(v, ()), dst_kids.get(w, ())
             if len(src_children) != len(dst_children):
                 raise DepthError(
                     f"round {level}: ball {v!r} has {len(src_children)} children, "

@@ -159,12 +159,17 @@ class SlicedSequence(Record):
     def __post_init__(self):
         if len(self.phis) != self.seq.length + 1:
             raise ValueError("need one slice map per sequence level")
+        base = self.phis[0].base
         for a, phi in enumerate(self.phis):
             if phi.target != self.seq.spaces[a]:
                 raise ValueError(f"phis[{a}] does not land in spaces[{a}]")
-        base = self.phis[0].base
+            if phi.base != base:
+                raise ValueError(f"phis[{a}] is not over the base of phis[0]")
         for a, step in enumerate(self.seq.steps):
             upper, lower = self.phis[a + 1], self.phis[a]
+            if _carries(step.mapping, upper, lower, base._chains):
+                continue
+            # name the first offending base point
             for point in base.points:
                 if step(upper.point_value(point)) != lower.point_value(point):
                     raise ValueError(
@@ -174,3 +179,15 @@ class SlicedSequence(Record):
     @property
     def base(self):
         return self.phis[0].base
+
+
+def _carries(step: dict, upper, lower, chains) -> bool:
+    """Whether the step sends upper's value to lower's on every base point,
+    checked once per ball at the deeper of the two slice levels: both values
+    are constant on those balls, and every ball holds a point."""
+    up_at, low_at = upper.level, lower.level
+    up_map, low_map = upper.quotient_map.mapping, lower.quotient_map.mapping
+    return all(
+        step[up_map[chain[up_at]]] == low_map[chain[low_at]]
+        for chain in chains[max(up_at, low_at)].values()
+    )

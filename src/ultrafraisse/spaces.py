@@ -103,12 +103,17 @@ class PointMap:
 
     def fiber(self, value: str) -> tuple[str, ...]:
         """Preimage of one codomain point, in domain order."""
+        return (self._fibers or self.fibers()).get(value, ())
+
+    def fibers(self) -> dict[str, tuple[str, ...]]:
+        """Every nonempty preimage by its codomain point, each in domain
+        order: one pass over the domain, made once and kept."""
         if self._fibers is None:
             fibers: dict[str, list[str]] = {}
             for p in self.dom.points:
                 fibers.setdefault(self.mapping[p], []).append(p)
             self._fibers = {q: tuple(ps) for q, ps in fibers.items()}
-        return self._fibers.get(value, ())
+        return self._fibers
 
 
 class Surjection(PointMap):

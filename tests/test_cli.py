@@ -89,6 +89,27 @@ def test_missing_input_exits_2(tmp_path):
     assert run("retract", tmp_path / "absent.json") == 2
 
 
+def test_certificate_that_is_not_utf8_is_a_parse_error(tmp_path, k4_path, capsys):
+    out = tmp_path / "embed.json"
+    assert run("embed", k4_path, "--depth", "3", "--out", out) == 0
+    capsys.readouterr()
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(out.read_bytes().replace(b'"kind"', b'"kind\xe9"', 1))
+    assert run("verify", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "not UTF-8" in err
+    (tmp_path / "ff.json").write_bytes(b"\xff")
+    assert run("verify", tmp_path / "ff.json") == 2
+
+
+def test_tree_that_is_not_utf8_is_a_parse_error(tmp_path, k4_path, capsys):
+    bad = tmp_path / "tree.json"
+    bad.write_bytes(b"\xff" + k4_path.read_bytes())
+    assert run("embed", bad, "--depth", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "not UTF-8" in err
+
+
 def test_schema_violation_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"depth": 2, "levels": [["a"]], "parents": []}))

@@ -10,6 +10,8 @@ table compares the code with the code that recorded it.
 seeded random trees (uneven branching, unary chains) under four pad
 schedules, two sequence depths and 0-3 splits drawn from the stages' points.
 Growth 3 makes the pad blocks split unevenly, which growth 2 never does.
+On the same trees it pins `extend` along a random automorphism and the
+subset `lift`, each over a sparse subset drawn from the tree's own shape.
 
 Re-record only when a change is meant to alter certificate content or
 verify output:
@@ -116,6 +118,115 @@ def _lift_case(work: Path) -> Path:
     return cert
 
 
+def _sparse_subset(tree, rng: random.Random) -> list[str]:
+    """A random nonempty proper part of the leaves under each
+    next-to-last-level ball, or [] when each of those holds one leaf.
+
+    Every ball then keeps a leaf outside the subset, which is what uniform
+    nowhere density asks of a finite tree.
+    """
+    groups = [tree.parents[-1].fiber(ball) for ball in tree.levels[-2].points]
+    subset = [x for leaves in groups for x in rng.sample(leaves, rng.randint(0, len(leaves) - 1))]
+    if not subset:
+        wide = [leaves for leaves in groups if len(leaves) > 1]
+        subset = [rng.choice(wide[0])] if wide else []
+    return subset
+
+
+def _automorphism(tree, rng: random.Random) -> dict[str, str]:
+    """A random automorphism of the tree, on its leaves: under each ball,
+    children with isomorphic subtrees are permuted among themselves."""
+    shape = {(tree.depth, p): "()" for p in tree.points}
+    for level in range(tree.depth - 1, -1, -1):
+        for ball in tree.levels[level].points:
+            kids = sorted(shape[level + 1, c] for c in tree.children(level, ball))
+            shape[level, ball] = "(" + "".join(kids) + ")"
+    image = {ball: ball for ball in tree.levels[0].points}
+    for level in range(tree.depth):
+        below = {}
+        for ball, target in image.items():
+            spare: dict[str, list[str]] = {}
+            for c in tree.children(level, target):
+                spare.setdefault(shape[level + 1, c], []).append(c)
+            for group in spare.values():
+                rng.shuffle(group)
+            for c in tree.children(level, ball):
+                below[c] = spare[shape[level + 1, c]].pop()
+        image = below
+    return image
+
+
+def _subset_seeds(count: int) -> list[int]:
+    """The first `count` grid tree seeds whose trees hold a nonempty sparse subset."""
+    seeds = []
+    seed = 0
+    while len(seeds) < count:
+        tree = random_tree(seed, max_depth=3, max_points=8)
+        if _sparse_subset(tree, random.Random(0)):
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
+def _grid_tree_and_subset(seed: int, variant: int, kind: str):
+    tree = random_tree(seed, max_depth=3, max_points=8)
+    rng = random.Random(f"{kind}/{seed}/{variant}")
+    return tree, _sparse_subset(tree, rng), rng
+
+
+def _grid_extend_case(seed: int, variant: int):
+    """`extend` on a random tree along a random automorphism of a sparse subset."""
+
+    def produce(work: Path) -> Path:
+        tree, subset, rng = _grid_tree_and_subset(seed, variant, "extend")
+        image = _automorphism(tree, rng)
+        path = work / "extend.json"
+        path.write_text(
+            serial.dumps(
+                {
+                    "ambient": serial.tree_to_json(tree),
+                    "src": subset,
+                    "dst": [image[x] for x in subset],
+                    "map": {x: image[x] for x in subset},
+                }
+            )
+        )
+        cert = work / "cert.json"
+        code, _ = _run(["extend", str(path), "--out", str(cert)])
+        assert code == 0
+        return cert
+
+    return produce
+
+
+def _grid_lift_case(seed: int, variant: int):
+    """A subset lift on a random tree: g constant on the level-1 balls (on
+    the root when level 1 is the leaves), and an f whose fibers are never
+    larger than the image-free leaves of g's fibers."""
+
+    def produce(work: Path) -> Path:
+        tree, subset, rng = _grid_tree_and_subset(seed, variant, "lift")
+        cut = min(1, tree.depth - 1)
+        targets = [f"x{i}" for i in range(min(len(tree.levels[cut]), 3))]
+        top = {ball: targets[i % len(targets)] for i, ball in enumerate(tree.levels[cut].points)}
+        g = {w: top[tree.ancestor(tree.depth, w, cut)] for w in tree.points}
+        free = {x: sum(g[w] == x for w in tree.points if w not in subset) for x in targets}
+        f_map = {}
+        for x in targets:
+            for _ in range(rng.randint(1, min(free[x], 2))):
+                f_map[f"y{len(f_map)}"] = x
+        x_space = FiniteSpace("X", tuple(targets))
+        f = Surjection(FiniteSpace("Y", tuple(f_map)), x_space, f_map)
+        b = {x: rng.choice(f.fiber(g[x])) for x in subset}
+        pres = presentation_from_subset(tree, subset)
+        cert = work / "cert.json"
+        result = lift_through_generic(pres, f, b, g)
+        cert.write_text(serial.dumps(lift_certificate_payload(pres, f, b, g, result)))
+        return cert
+
+    return produce
+
+
 CASES = {
     f"{command}-{tree}-d{depth}{'-split' if splits else ''}": _cli_case(command, tree, depth, splits)
     for command in ("embed", "retract")
@@ -132,6 +243,10 @@ GRID_CASES = {
     for base, growth in ((2, 2), (3, 2), (2, 3), (3, 3))
     for extra in (0, 1)
 }
+for seed in _subset_seeds(8):
+    for variant in range(2):
+        GRID_CASES[f"extend-rt{seed}-v{variant}"] = _grid_extend_case(seed, variant)
+        GRID_CASES[f"lift-rt{seed}-v{variant}"] = _grid_lift_case(seed, variant)
 TABLES = ((GOLDEN, CASES), (GRID, GRID_CASES))
 
 

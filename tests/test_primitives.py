@@ -15,6 +15,7 @@ from ultrafraisse.balltree import (
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
+    met_balls,
     nearest_points,
     nowhere_dense_to_uniform,
     u_metric,
@@ -34,22 +35,23 @@ from ultrafraisse.generic import (
     PartialHomeo,
     _ball_values,
     embed_generic,
+    eta_threads,
     presentation_from_subset,
     retract_onto,
     retraction_table,
 )
-from ultrafraisse.sequences import InverseSequence, check_coherent
+from ultrafraisse.sequences import InverseSequence, SlicedSequence, Thread, check_coherent
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
 
 
-def shuffled_rebuild(seed: int):
+def shuffled_rebuild(seed: int, **sizes):
     """A random tree whose level orders are shuffled, rebuilt by from_sequence.
 
     The root level is dropped first whenever level 1 has several balls, so
     from_sequence has to prepend its own root.
     """
-    tree = random_tree(seed)
+    tree = random_tree(seed, **sizes)
     rng = random.Random(seed)
     spaces = []
     for level in tree.levels:
@@ -853,3 +855,177 @@ def test_task_witnesses_keep_the_old_stage_and_compose_to_the_bonding(seed):
             assert compose(task.arrow.q, result.mapping) == sliced.seq.bonding(
                 task.stage, result.beta
             )
+
+
+# The level passes of the subset-presentation path against the code they
+# replaced, kept verbatim below as the oracles: the per-ball search through
+# `descendants`, the per-point eta threads, and the per-point slice check.
+
+
+def old_is_uniformly_nowhere_dense(tree, subset):
+    avoid = frozenset(subset)
+    unknown = [p for p in avoid if p not in tree.levels[-1]]
+    if unknown:
+        raise ValueError(f"subset point {min(unknown)!r} is not in the tree")
+    met = met_balls(tree, avoid)
+    never = tree.depth + 1
+    # first[level][ball] for the met balls only; a ball that avoids the
+    # subset is free at its own level
+    first: list[dict[str, int]] = [{} for _ in tree.levels]
+    first[-1] = dict.fromkeys(met[-1], never)
+    for level in range(tree.depth - 1, -1, -1):
+        below = first[level + 1]
+        first[level] = {
+            b: min(below.get(c, level + 1) for c in tree.parents[level].fiber(b))
+            for b in met[level]
+        }
+    target_levels = []
+    choices = []
+    for alpha in range(tree.depth):
+        beta = max(alpha + 1, max(first[alpha].values(), default=0))
+        if beta == never:
+            worst = next(b for b in tree.levels[alpha].points if first[alpha].get(b) == never)
+            return NowhereDenseFailure(level=alpha, ball=worst)
+        target_levels.append(beta)
+        choices.append(
+            {
+                label: next(b for b in tree.descendants(alpha, label, beta) if b not in met[beta])
+                for label in tree.levels[alpha].points
+            }
+        )
+    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
+
+
+def old_eta_threads(sliced, ambient):
+    root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
+    return {
+        x: Thread(root + tuple(phi.point_value(x) for phi in sliced.phis))
+        for x in sliced.base.points
+    }
+
+
+def old_slice_check(seq, phis):
+    """The pointwise step check of `SlicedSequence.__post_init__`."""
+    base = phis[0].base
+    for a, step in enumerate(seq.steps):
+        upper, lower = phis[a + 1], phis[a]
+        for point in base.points:
+            if step(upper.point_value(point)) != lower.point_value(point):
+                raise ValueError(
+                    f"step {a} does not carry phis[{a + 1}] to phis[{a}] at base point {point!r}"
+                )
+
+
+def old_embed_choices(pres):
+    """The per-ball children scan that `embed_generic` made its witness with."""
+    ambient = pres.ambient
+    choices = []
+    for alpha in range(ambient.depth):
+        marked = pres.holders(alpha + 1)
+        choice = {}
+        for label in ambient.levels[alpha].points:
+            free = [c for c in ambient.children(alpha, label) if c not in marked]
+            if not free:
+                raise AssertionError("every padded stage keeps a pad child under each ball")
+            choice[label] = free[0]
+        choices.append(choice)
+    return choices
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_and_subset())
+def test_nowhere_density_levels_choices_and_failures_match_the_old_search(case):
+    tree, subset, _ = case
+    got = is_uniformly_nowhere_dense(tree, subset)
+    want = old_is_uniformly_nowhere_dense(tree, subset)
+    assert got == want
+    if isinstance(want, NowhereDenseWitness):
+        assert [list(c.items()) for c in got.choices] == [list(c.items()) for c in want.choices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_and_subset())
+def test_eta_threads_of_subset_presentations_match_the_pointwise_threads(case):
+    tree, subset, _ = case
+    if not subset or not isinstance(old_is_uniformly_nowhere_dense(tree, subset), NowhereDenseWitness):
+        return
+    pres = presentation_from_subset(tree, subset)
+    got, want = eta_threads(pres.sliced, pres.ambient), old_eta_threads(pres.sliced, pres.ambient)
+    assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_eta_threads_and_embed_choices_of_builds_match_the_old_scans(seed):
+    rng = random.Random(seed)
+    for tree in trees(seed):
+        sliced, _ = fraisse_case(tree, rng)
+        ambient = from_sequence(sliced.seq)
+        got, want = eta_threads(sliced, ambient), old_eta_threads(sliced, ambient)
+        assert list(got.items()) == list(want.items())
+    small = random_tree(seed, max_depth=3, max_points=8)
+    pres = embed_generic(small, small.depth + 1, PaddingSchedule())
+    assert [list(c.items()) for c in pres.witness.choices] == [
+        list(c.items()) for c in old_embed_choices(pres)
+    ]
+
+
+def corrupt_steps(seq, rng, count: int):
+    """The sequence with `count` entries of one step sent to other points."""
+    steps = list(seq.steps)
+    candidates = [a for a, step in enumerate(steps) if len(step.cod) > 1]
+    if candidates:
+        a = rng.choice(candidates)
+        mapping = dict(steps[a].mapping)
+        for ball in rng.sample(steps[a].dom.points, min(count, len(steps[a].dom))):
+            mapping[ball] = rng.choice([q for q in steps[a].cod.points if q != mapping[ball]])
+        steps[a] = PointMap(steps[a].dom, steps[a].cod, mapping)
+    return InverseSequence(seq.spaces, tuple(steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+def test_sliced_sequence_names_the_first_offending_point_as_before(seed, count, build):
+    rng = random.Random(seed)
+    tree = shuffled_rebuild(seed, max_depth=3, max_points=12)
+    if build:
+        sliced, _ = fraisse_case(tree, rng)
+        seq, phis = sliced.seq, sliced.phis
+    else:  # the base tree's own ball quotients, each level by itself
+        seq = ball_quotients(tree)
+        phis = tuple(SliceObject(tree, a, level, identity(level)) for a, level in enumerate(tree.levels))
+    bad = corrupt_steps(seq, rng, count)
+    got, want = outcome(SlicedSequence, bad, phis), outcome(old_slice_check, bad, phis)
+    if want is None:  # the corrupted entries are values of no base point
+        assert isinstance(got, SlicedSequence)
+    else:
+        assert got == want
+
+
+def first_leaf_of_first_offending_ball(seq, phis):
+    """What a per-ball check that named its first offending ball's first leaf
+    would name: another point than the per-point scan where the tree lists
+    its balls in another order than the leaves under them come."""
+    base = phis[0].base
+    for a, step in enumerate(seq.steps):
+        upper, lower = phis[a + 1], phis[a]
+        level = max(upper.level, lower.level)
+        for ball, chain in base._chains[level].items():
+            if step(upper.quotient_map(chain[upper.level])) != lower.quotient_map(chain[lower.level]):
+                return next(p for p in base.points if base._chains[-1][p][level] == ball)
+    return None
+
+
+def test_sliced_sequence_names_the_point_that_ball_order_would_misname():
+    misnamed = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        tree = shuffled_rebuild(seed, max_depth=3, max_points=12)
+        phis = tuple(SliceObject(tree, a, level, identity(level)) for a, level in enumerate(tree.levels))
+        bad = corrupt_steps(ball_quotients(tree), rng, 6)
+        want = outcome(old_slice_check, bad, phis)
+        if want is None or want[1].endswith(repr(first_leaf_of_first_offending_ball(bad, phis))):
+            continue
+        misnamed += 1
+        assert outcome(SlicedSequence, bad, phis) == want
+    assert misnamed >= 5
