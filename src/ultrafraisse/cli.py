@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import sys
-from pathlib import Path
 
 from ._record import Record
 from .balltree import (
@@ -740,18 +740,18 @@ def _run_verify(config: RunConfig) -> int:
 
 
 def cmd_demo(config: RunConfig) -> int:
-    out_dir = Path(config.out or "demo-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = config.out or "demo-out"
+    os.makedirs(out_dir, exist_ok=True)
 
-    k4_path = out_dir / "k4.json"
+    k4_path = os.path.join(out_dir, "k4.json")
     _write(k4_path, serial.dumps(serial.tree_to_json(k4())))
-    binary_path = out_dir / "binary3.json"
+    binary_path = os.path.join(out_dir, "binary3.json")
     _write(binary_path, serial.dumps(serial.tree_to_json(binary_tree(3))))
 
     embed_cfg = config.replace(
         command="embed",
-        inputs=(str(k4_path),),
-        out=str(out_dir / "k4-embedding.json"),
+        inputs=(k4_path,),
+        out=os.path.join(out_dir, "k4-embedding.json"),
         splits=("1:p0", "2:00"),
     )
     _emit(embed_cfg, cmd_embed(embed_cfg), "embedding certificate")
@@ -762,23 +762,23 @@ def cmd_demo(config: RunConfig) -> int:
         "dst": ["111"],
         "map": {"000": "111"},
     }
-    extend_in_path = out_dir / "swap-input.json"
+    extend_in_path = os.path.join(out_dir, "swap-input.json")
     _write(extend_in_path, serial.dumps(extend_input))
     extend_cfg = config.replace(
         command="extend",
-        inputs=(str(extend_in_path),),
-        out=str(out_dir / "swap-extension.json"),
+        inputs=(extend_in_path,),
+        out=os.path.join(out_dir, "swap-extension.json"),
     )
     _emit(extend_cfg, cmd_extend(extend_cfg), "extension certificate")
 
     retract_cfg = embed_cfg.replace(
-        command="retract", out=str(out_dir / "k4-retraction.json"), splits=()
+        command="retract", out=os.path.join(out_dir, "k4-retraction.json"), splits=()
     )
     _emit(retract_cfg, cmd_retract(retract_cfg), "retraction certificate")
 
     worst = 0
     for cert in ("k4-embedding.json", "swap-extension.json", "k4-retraction.json"):
-        verify_cfg = config.replace(command="verify", inputs=(str(out_dir / cert),))
+        verify_cfg = config.replace(command="verify", inputs=(os.path.join(out_dir, cert),))
         checks, code = cmd_verify(verify_cfg)
         status = "ok" if code == 0 else "FAILED"
         print(f"{cert}: {status} ({len(checks)} checks)")

@@ -15,7 +15,6 @@ surjection.  `verify_fraisse` recertifies the two sequence conditions
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from collections import Counter
 from typing import Callable, Mapping, Sequence
@@ -24,6 +23,7 @@ from ._record import Record
 from .balltree import BallTree
 from .errors import DepthError
 from .sequences import InverseSequence, SlicedSequence
+from .serial import text_digest
 from .slices import SliceArrow, SliceObject, amalgamate_slice
 from .spaces import FiniteSpace, PointMap, Surjection, compose, identity
 
@@ -193,12 +193,13 @@ def dominate_arrow(
         routed[y].append(x)
     mapping = {b: h.value_on_ball(beta, b) for b in padded.ball_labels}
     h_image = set(h.point_table().values())
+    fibers = arrow.q.fibers()
     for p in dst.pad_labels:
-        fiber = arrow.q.fiber(p)
+        fiber = fibers[p]
         for i, x in enumerate(routed[p]):
             mapping[x] = fiber[i % len(fiber)]
     for z in dst.ball_labels:
-        fiber = arrow.q.fiber(z)
+        fiber = fibers[z]
         reached = [y for y in fiber if y in h_image]
         fresh = [y for y in fiber if y not in h_image]
         block = routed[z]
@@ -301,8 +302,7 @@ def stage_log_line(stage: int, space: FiniteSpace) -> str:
 
 def task_log_line(tag: str, stage: int, beta: int, witness: Mapping[str, str]) -> str:
     """The build log's line for an absorbed task, with a short digest of its witness."""
-    text = ";".join(f"{k}->{v}" for k, v in sorted(witness.items()))
-    digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    digest = text_digest(";".join(map("->".join, sorted(witness.items()))))[:12]
     return f"task {tag}: stage={stage} beta={beta} digest={digest}"
 
 

@@ -57,8 +57,6 @@ class GenericPresentation(Record):
 
 
 def _validate_presentation(pres: GenericPresentation) -> None:
-    if pres.eta != eta_threads(pres.sliced, pres.ambient):
-        raise ValueError("eta must send each base point to its thread through the slice maps")
     if len({t.entries[-1] for t in pres.eta.values()}) != len(pres.eta):
         raise DepthError("eta is not injective: the sequence is too shallow to separate")
 
@@ -172,12 +170,15 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
             f"subset is not uniformly nowhere dense: fails at level {witness.level} "
             f"inside ball {witness.ball!r}"
         )
+    eta = eta_threads(sliced, ambient)
     chains = ambient._chains[-1]
+    if any(thread.entries != chains[p] for p, thread in eta.items()):
+        raise ValueError("eta must send each base point to its thread through the slice maps")
     pres = GenericPresentation(
         space=base,
         sliced=sliced,
         ambient=ambient,
-        eta={p: Thread(chains[p]) for p in points},
+        eta=eta,
         witness=witness,
         level_offset=0,
     )

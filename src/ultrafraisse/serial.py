@@ -7,7 +7,6 @@ Serialization is byte-deterministic (sorted keys, fixed separators).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
@@ -17,6 +16,16 @@ from .errors import SchemaError
 from .sequences import InverseSequence, SlicedSequence
 from .slices import SliceObject
 from .spaces import FiniteSpace, PointMap, Surjection
+
+# hashlib loads OpenSSL, megabytes per process; the interpreter's built-in
+# SHA-256 gives the same digest without it (as random.py does for sha512)
+try:
+    from _sha256 import sha256  # Python <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 
 def require(condition: bool, message: str) -> None:
@@ -106,10 +115,14 @@ def dumps(payload: Any) -> str:
     return _encode(payload, "\n") + "\n"
 
 
+def text_digest(text: str) -> str:
+    """Hex SHA-256 of the text's UTF-8 bytes."""
+    return sha256(text.encode()).hexdigest()
+
+
 def content_digest(payload: dict) -> str:
     body = {k: v for k, v in payload.items() if k != "integrity"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return text_digest(json.dumps(body, sort_keys=True, separators=(",", ":")))
 
 
 def loads(text: str) -> Any:
@@ -119,9 +132,8 @@ def loads(text: str) -> Any:
 def tree_to_json(tree: BallTree) -> dict:
     parents = []
     for a, par in enumerate(tree.parents):
-        upper = tree.levels[a + 1]
-        lower = tree.levels[a]
-        parents.append([lower.index(par(b)) for b in upper.points])
+        position, parent = tree.levels[a]._positions, par.mapping
+        parents.append([position[parent[b]] for b in tree.levels[a + 1].points])
     return {
         "depth": tree.depth,
         "levels": [list(level.points) for level in tree.levels],

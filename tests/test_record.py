@@ -141,3 +141,14 @@ def test_package_import_leaves_out_dataclasses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+    # no command loads OpenSSL or pathlib; -S keeps site's own imports out
+    script = (
+        "import sys\n"
+        "import ultrafraisse.cli\n"
+        "print(sorted({'hashlib', '_hashlib', 'pathlib'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

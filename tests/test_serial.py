@@ -1,11 +1,17 @@
-"""The certificate writer and map validation against the stdlib encoder and
-the entry-by-entry scans they replace."""
+"""The certificate writer, map validation and the digest helper against the
+stdlib encoder, the entry-by-entry scans they replace and `hashlib`."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ultrafraisse
 from ultrafraisse import serial
 from ultrafraisse.errors import SchemaError
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection
@@ -152,3 +158,40 @@ def test_map_from_json_reports_non_string_labels_first():
     data = {"a": "u", "b": "v", "c": "w", "d": "u", 1: "u"}
     with pytest.raises(SchemaError, match="^step 0: labels must be strings$"):
         serial.map_from_json(data, _DOM, _COD, "step 0")
+
+
+# --- every digest is SHA-256 of the UTF-8 text, whichever module computes it
+
+
+@given(_strings)
+def test_text_digest_is_hashlib_sha256(text):
+    assert serial.text_digest(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+_DEMO = """\
+import sys
+if sys.argv[2] == "blocked":  # the interpreter's built-in modules cannot be imported
+    sys.modules["_sha256"] = sys.modules["_sha2"] = None
+from ultrafraisse import serial
+from ultrafraisse.cli import main
+import hashlib
+print(serial.sha256 is hashlib.sha256)
+sys.exit(main(["demo", "--out", sys.argv[1]]))
+"""
+
+
+def test_demo_files_are_identical_with_the_hashlib_fallback(tmp_path):
+    src = str(Path(ultrafraisse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    files = {}
+    for mode in ("default", "blocked"):
+        out = tmp_path / mode
+        done = subprocess.run(
+            [sys.executable, "-c", _DEMO, str(out), mode],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0] == str(mode == "blocked")
+        files[mode] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(files["default"]) == 6
+    assert files["blocked"] == files["default"]
