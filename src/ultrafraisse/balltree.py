@@ -38,8 +38,6 @@ class BallTree(Record):
             up, parent = chains[a], par.mapping
             chains.append({b: up[parent[b]] + (b,) for b in self.levels[a + 1].points})
         object.__setattr__(self, "_chains", tuple(chains))
-        # _below[(beta, level)][ball] = the level-beta balls inside the ball, filled on demand
-        object.__setattr__(self, "_below", {})
         # the number of levels below the root, read on every hot path
         object.__setattr__(self, "depth", len(self.levels) - 1)
 
@@ -65,16 +63,10 @@ class BallTree(Record):
         return self.parents[level].fiber(label)
 
     def descendants(self, level: int, label: str, beta: int) -> tuple[str, ...]:
-        """Balls at level `beta` >= `level` contained in the given ball."""
+        """Balls at level `beta` >= `level` contained in the given ball, in level order."""
         if not 0 <= level <= beta <= self.depth:
             raise ValueError(f"bad descendant request ({level}, {beta})")
-        table = self._below.get((beta, level))
-        if table is None:
-            groups: dict[str, list[str]] = {}
-            for b, chain in self._chains[beta].items():
-                groups.setdefault(chain[level], []).append(b)
-            table = self._below[beta, level] = {k: tuple(v) for k, v in groups.items()}
-        return table.get(label, ())
+        return tuple(b for b, chain in self._chains[beta].items() if chain[level] == label)
 
     def leafset(self, level: int, label: str) -> frozenset[str]:
         return frozenset(self.descendants(level, label, self.depth))

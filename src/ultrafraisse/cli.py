@@ -15,6 +15,7 @@ import sys
 
 from ._record import Record
 from .balltree import (
+    NowhereDenseFailure,
     ball_quotients,
     factoring_level,
     from_sequence,
@@ -185,10 +186,17 @@ def cmd_embed(config: RunConfig) -> dict:
             _check_task_witness(pres.sliced, task, witness.beta, witness.mapping)
         except ValueError as exc:
             raise RuntimeError(f"engine bug: the build's witness for task {tag!r} fails: {exc}") from None
+    image = [t.entries[-1] for t in pres.eta.values()]
+    image_witness = is_uniformly_nowhere_dense(pres.ambient, image)
+    if isinstance(image_witness, NowhereDenseFailure):
+        raise RuntimeError(
+            f"engine bug: the embedded image is not uniformly nowhere dense: fails at level "
+            f"{image_witness.level} inside ball {image_witness.ball!r}"
+        )
     payload = {
         "kind": "embedding-certificate",
         **section,
-        "witness": serial.witness_to_json(pres.witness),
+        "witness": serial.witness_to_json(image_witness),
         "tasks": [
             {
                 "tag": tag,

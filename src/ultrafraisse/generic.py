@@ -1,8 +1,9 @@
 """Algorithms on generic presentations: embed, lift, extend, retract.
 
 A generic presentation packages a base tree K, a sliced sequence over it,
-the ambient tree rebuilt from that sequence, the induced injection of K
-into the ambient points, and a nowhere-density certificate for the image.
+the ambient tree rebuilt from that sequence, and the induced injection of
+K into the ambient points.  The image's nowhere-density witness is not
+stored: `is_uniformly_nowhere_dense(pres.ambient, image)` determines it.
 All four headline operations are deterministic; the brute-force oracle
 recomputes the lifting problem by exhaustive enumeration so the two routes
 can be compared on small instances.
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 from ._record import Record
 from .balltree import (
     BallTree,
-    NowhereDenseWitness,
+    NowhereDenseFailure,
     ball_quotients,
     factoring_level,
     from_sequence,
@@ -33,13 +34,12 @@ from .spaces import FiniteSpace, PointMap, Surjection
 
 
 class GenericPresentation(Record):
-    """An embedding of `space` into the limit of `sliced`, with certificate."""
+    """An embedding of `space` into the limit of `sliced`."""
 
     space: BallTree
     sliced: SlicedSequence
     ambient: BallTree
     eta: dict[str, Thread]
-    witness: NowhereDenseWitness
     level_offset: int
     build: BuildResult | None = None
 
@@ -86,37 +86,22 @@ def embed_generic(
     """Embed `tree` into the limit of a freshly built sequence of padded spaces.
 
     The image misses every pad point, so each ambient ball keeps a pad child
-    whose cylinder avoids the image; that child is the per-ball witness and
-    the resulting certificate has target level alpha+1 at every alpha.
+    whose cylinder avoids the image: the image's witness, which
+    `is_uniformly_nowhere_dense(pres.ambient, image)` finds, has target
+    level alpha+1 at every alpha and picks each ball's first such child.
     """
     if depth < tree.depth:
         raise DepthError(f"depth {depth} cannot separate a tree of depth {tree.depth}")
     build = build_fraisse(tree, depth, schedule, tasks)
     ambient = from_sequence(build.sequence.seq)
-    unwitnessed = GenericPresentation(
+    pres = GenericPresentation(
         space=tree,
         sliced=build.sequence,
         ambient=ambient,
         eta=eta_threads(build.sequence, ambient),
-        witness=NowhereDenseWitness((), ()),
         level_offset=ambient.depth - build.sequence.seq.length,
         build=build,
     )
-    # each ball's first child, in level order, that the image misses: one
-    # pass over the level below and its parent map
-    choices = []
-    for alpha in range(ambient.depth):
-        marked = unwitnessed.holders(alpha + 1)
-        parent = ambient.parents[alpha].mapping
-        free: dict[str, str] = {}
-        for c in ambient.levels[alpha + 1].points:
-            if c not in marked:
-                free.setdefault(parent[c], c)
-        if len(free) != len(ambient.levels[alpha]):
-            raise AssertionError("every padded stage keeps a pad child under each ball")
-        choices.append({label: free[label] for label in ambient.levels[alpha].points})
-    witness = NowhereDenseWitness(tuple(range(1, ambient.depth + 1)), tuple(choices))
-    pres = unwitnessed.replace(witness=witness)
     _validate_presentation(pres)
     return pres
 
@@ -125,8 +110,8 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
     """Present a subset of an existing tree as the embedded copy of its own subtree.
 
     The base tree is the induced subtree on the subset; the slice maps are the
-    ancestor inclusions, and the witness is found by exhaustive search (the
-    subset must be uniformly nowhere dense, otherwise the input is rejected).
+    ancestor inclusions.  The subset must be uniformly nowhere dense, as the
+    exhaustive search decides; otherwise the input is rejected.
     """
     points = list(dict.fromkeys(subset))
     if not points:
@@ -164,11 +149,11 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
         for alpha in range(ambient.depth + 1)
     )
     sliced = SlicedSequence(ball_quotients(ambient), phis)
-    witness = is_uniformly_nowhere_dense(ambient, points)
-    if not isinstance(witness, NowhereDenseWitness):
+    found = is_uniformly_nowhere_dense(ambient, points)
+    if isinstance(found, NowhereDenseFailure):
         raise InputError(
-            f"subset is not uniformly nowhere dense: fails at level {witness.level} "
-            f"inside ball {witness.ball!r}"
+            f"subset is not uniformly nowhere dense: fails at level {found.level} "
+            f"inside ball {found.ball!r}"
         )
     eta = eta_threads(sliced, ambient)
     chains = ambient._chains[-1]
@@ -179,7 +164,6 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
         sliced=sliced,
         ambient=ambient,
         eta=eta,
-        witness=witness,
         level_offset=0,
     )
     _validate_presentation(pres)

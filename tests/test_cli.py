@@ -257,6 +257,34 @@ def test_embed_checks_the_build_witnesses_it_writes(tmp_path, k4_path, monkeypat
     assert not out.exists()
 
 
+def test_embed_checks_the_nowhere_density_search_it_writes(tmp_path, k4_path, monkeypatch, capsys):
+    from ultrafraisse import cli
+    from ultrafraisse.balltree import NowhereDenseFailure
+
+    failure = NowhereDenseFailure(level=2, ball="b")
+    monkeypatch.setattr(cli, "is_uniformly_nowhere_dense", lambda *args: failure)
+    capsys.readouterr()
+    out = tmp_path / "x.json"
+    assert run("embed", k4_path, "--depth", "3", "--out", out) == 5
+    err = capsys.readouterr().err
+    assert "engine bug: the embedded image is not uniformly nowhere dense: fails at level 2" in err
+    assert not out.exists()
+
+
+def test_retract_computes_no_nowhere_density_witness(tmp_path, k4_path, monkeypatch):
+    from ultrafraisse import balltree, cli, generic
+
+    def unwanted(*args):
+        raise RuntimeError("retraction certificates carry no nowhere-density witness")
+
+    for module in (balltree, cli, generic):
+        monkeypatch.setattr(module, "is_uniformly_nowhere_dense", unwanted)
+    monkeypatch.setattr(generic.GenericPresentation, "holders", unwanted)
+    out = tmp_path / "ret.json"
+    assert run("retract", k4_path, "--depth", "4", "--split", "1:p0", "--out", out) == 0
+    assert out.exists()
+
+
 def test_retraction_mutation_fails(tmp_path, k4_path):
     out = tmp_path / "ret.json"
     run("retract", k4_path, "--depth", "4", "--out", out)

@@ -38,26 +38,29 @@ def pres_k4(tree_k4, schedule):
 def test_embed_one_point_tree(schedule):
     pres = embed_generic(one_point_tree(), 3, schedule)
     assert list(pres.eta) == ["o"]
-    assert pres.witness.target_levels == tuple(range(1, pres.ambient.depth + 1))
     image = [pres.eta_point("o")]
-    assert validate_witness(pres.ambient, image, pres.witness).ok
-    assert is_uniformly_nowhere_dense(pres.ambient, image) == pres.witness
+    witness = is_uniformly_nowhere_dense(pres.ambient, image)
+    assert witness.target_levels == tuple(range(1, pres.ambient.depth + 1))
+    assert validate_witness(pres.ambient, image, witness).ok
 
 
 def test_embed_k4_injective_and_certified(pres_k4, tree_k4):
     tops = {pres_k4.eta_point(x) for x in tree_k4.points}
     assert len(tops) == 4
-    image = sorted(tops)
-    assert validate_witness(pres_k4.ambient, image, pres_k4.witness).ok
-    assert is_uniformly_nowhere_dense(pres_k4.ambient, image) == pres_k4.witness
+    witness = is_uniformly_nowhere_dense(pres_k4.ambient, tops)
+    assert witness.target_levels == tuple(range(1, pres_k4.ambient.depth + 1))
+    assert validate_witness(pres_k4.ambient, tops, witness).ok
 
 
 def test_embed_is_deterministic(tree_k4, schedule):
     a = embed_generic(tree_k4, 4, schedule)
     b = embed_generic(tree_k4, 4, schedule)
     assert a.eta == b.eta
-    assert a.witness == b.witness
     assert a.sliced == b.sliced
+    image = [a.eta_point(x) for x in tree_k4.points]
+    assert is_uniformly_nowhere_dense(a.ambient, image) == is_uniformly_nowhere_dense(
+        b.ambient, image
+    )
 
 
 def test_embed_rejects_shallow_depth(tree_k4, schedule):
@@ -74,7 +77,8 @@ def test_subset_presentation_singleton(tree_b3):
     pres = presentation_from_subset(tree_b3, ["000"])
     assert pres.eta_point("000") == "000"
     assert pres.space.depth == tree_b3.depth
-    assert validate_witness(tree_b3, ["000"], pres.witness).ok
+    witness = is_uniformly_nowhere_dense(pres.ambient, ["000"])
+    assert validate_witness(tree_b3, ["000"], witness).ok
 
 
 def bijective_lift_fixture(pres):

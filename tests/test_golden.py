@@ -13,6 +13,10 @@ Growth 3 makes the pad blocks split unevenly, which growth 2 never does.
 On the same trees it pins `extend` along a random automorphism and the
 subset `lift`, each over a sparse subset drawn from the tree's own shape.
 
+Off the grid, a property test checks that every embed and retract
+certificate on other random trees verifies with only PASS lines, and a
+grid sample is written under two hash seeds to the same bytes.
+
 Re-record only when a change is meant to alter certificate content or
 verify output:
 
@@ -24,13 +28,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ultrafraisse
 from ultrafraisse import serial
 from ultrafraisse.cli import lift_certificate_payload, main
 from ultrafraisse.engine import PaddingSchedule, build_fraisse
@@ -67,21 +75,27 @@ def _cli_case(command: str, tree: str, depth: int, splits: tuple[str, ...]):
     return produce
 
 
+def _grid_input(seed: int, base: int, growth: int, extra: int):
+    """One grid input: random tree `seed`, and the options that set sequence
+    depth = tree depth + `extra` and 0-3 splits drawn by a rng seeded from
+    the case."""
+    tree = random_tree(seed, max_depth=3, max_points=8)
+    depth = tree.depth + extra
+    schedule = PaddingSchedule(base, growth)
+    # a split at stage s is absorbed into stage s + 1, so s < depth
+    stages = build_fraisse(tree, depth, schedule).sequence.seq.spaces[:depth]
+    choices = [f"{s}:{p}" for s, space in enumerate(stages) for p in space.points]
+    rng = random.Random(f"{seed}/{base}/{growth}/{extra}")
+    splits = [a for spec in rng.sample(choices, rng.randint(0, 3)) for a in ("--split", spec)]
+    options = ["--depth", str(depth), "--pad-base", str(base), "--pad-growth", str(growth)]
+    return tree, options + splits
+
+
 def _grid_case(command: str, seed: int, base: int, growth: int, extra: int):
-    """One grid certificate: random tree `seed`, sequence depth = tree depth
-    + `extra`, and 0-3 splits drawn by a rng seeded from the case."""
+    """One grid certificate, of `command` on `_grid_input`."""
 
     def produce(work: Path) -> Path:
-        tree = random_tree(seed, max_depth=3, max_points=8)
-        depth = tree.depth + extra
-        schedule = PaddingSchedule(base, growth)
-        # a split at stage s is absorbed into stage s + 1, so s < depth
-        stages = build_fraisse(tree, depth, schedule).sequence.seq.spaces[:depth]
-        choices = [f"{s}:{p}" for s, space in enumerate(stages) for p in space.points]
-        rng = random.Random(f"{seed}/{base}/{growth}/{extra}")
-        splits = [a for spec in rng.sample(choices, rng.randint(0, 3)) for a in ("--split", spec)]
-        options = ["--depth", str(depth), "--pad-base", str(base), "--pad-growth", str(growth)]
-        return _produce(work, command, tree, options + splits)
+        return _produce(work, command, *_grid_input(seed, base, growth, extra))
 
     return produce
 
@@ -278,6 +292,53 @@ def test_grid_certificate_matches_golden(name, tmp_path):
 
 def test_grid_golden_covers_exactly_the_grid():
     assert sorted(json.loads(GRID.read_text())) == sorted(GRID_CASES)
+
+
+# --- every certificate a producer writes verifies, on inputs off the grid
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(8, 10_000),
+    st.sampled_from(((2, 2), (3, 2), (2, 3))),
+    st.integers(0, 1),
+)
+def test_produced_certificates_verify_with_only_pass_lines(seed, schedule, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("embed", "retract"):
+            cert = _grid_case(command, seed, *schedule, extra)(Path(tmp))
+            code, lines = _run(["verify", str(cert)])
+            assert code == 0, lines
+            assert lines[-1] == f"{cert}: ok"
+            assert lines[:-1] and all(line.startswith("PASS ") for line in lines[:-1]), lines
+
+
+# --- certificate bytes do not depend on the interpreter's hash seed
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("embed", (6, 3, 2, 1)), ("retract", (5, 2, 2, 0))],
+    ids=["embed-rt6-b3g2-d+1", "retract-rt5-b2g2-d+0"],
+)
+def test_grid_certificates_do_not_depend_on_the_hash_seed(command, case, tmp_path):
+    tree, options = _grid_input(*case)
+    assert "--split" in options
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(serial.dumps(serial.tree_to_json(tree)))
+    src = str(Path(ultrafraisse.__file__).resolve().parent.parent)
+    written = []
+    for hash_seed in ("1", "2"):
+        cert = tmp_path / f"cert-{hash_seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "ultrafraisse.cli", command, str(tree_path), *options,
+             "--out", str(cert)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append(cert.read_bytes())
+    assert written[0] == written[1]
 
 
 if __name__ == "__main__":

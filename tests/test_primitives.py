@@ -965,7 +965,9 @@ def test_eta_threads_and_embed_choices_of_builds_match_the_old_scans(seed):
         assert list(got.items()) == list(want.items())
     small = random_tree(seed, max_depth=3, max_points=8)
     pres = embed_generic(small, small.depth + 1, PaddingSchedule())
-    assert [list(c.items()) for c in pres.witness.choices] == [
+    witness = is_uniformly_nowhere_dense(pres.ambient, [pres.eta_point(x) for x in small.points])
+    assert witness.target_levels == tuple(range(1, pres.ambient.depth + 1))
+    assert [list(c.items()) for c in witness.choices] == [
         list(c.items()) for c in old_embed_choices(pres)
     ]
 

@@ -17,3 +17,33 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _module_imports(body):
+    """The import statements a module runs on import: its top level and
+    the `try`/`if` blocks there, not function or class bodies."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_imports(getattr(node, field, ()))
+
+
+def test_module_imports_are_used():
+    """Every name a module-level import binds is read in its module;
+    `__init__.py` binds its names to re-export them."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
