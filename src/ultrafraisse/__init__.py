@@ -53,7 +53,6 @@ from .sequences import (
     Report,
     SequenceArrow,
     SlicedSequence,
-    Thread,
     apply_sequence_arrow,
     check_coherent,
     limit_threads,

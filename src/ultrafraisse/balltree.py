@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .spaces import FiniteSpace, Surjection
-from .sequences import InverseSequence, Report, Thread
+from .sequences import InverseSequence, Report, check_coherent
 
 
 class BallTree(Record):
@@ -144,8 +144,6 @@ def from_sequence(seq: InverseSequence) -> BallTree:
     a fresh one-ball root level is prepended: the whole space is always the
     single ball of radius zero.
     """
-    from .sequences import check_coherent
-
     report = check_coherent(seq)
     if not report.ok:
         raise ValueError(f"incoherent sequence: {report.issues[0]}")
@@ -161,9 +159,9 @@ def from_sequence(seq: InverseSequence) -> BallTree:
     return BallTree(levels=tuple(spaces), parents=tuple(steps))
 
 
-def thread_embedding(tree: BallTree) -> dict[str, Thread]:
+def thread_embedding(tree: BallTree) -> dict[str, tuple[str, ...]]:
     """Each point mapped to its chain of ancestors, a thread of the ball quotients."""
-    return {p: Thread(tree._chains[tree.depth][p]) for p in tree.points}
+    return dict(tree._chains[tree.depth])
 
 
 class NowhereDenseWitness(Record):

@@ -169,7 +169,7 @@ def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
         "space": serial.tree_to_json(tree),
         "sequence": serial.sliced_to_json(pres.sliced),
         "ambient": serial.tree_to_json(pres.ambient),
-        "eta": {x: list(t.entries) for x, t in pres.eta.items()},
+        "eta": {x: list(t) for x, t in pres.eta.items()},
     }
     return pres, section
 
@@ -186,7 +186,7 @@ def cmd_embed(config: RunConfig) -> dict:
             _check_task_witness(pres.sliced, task, witness.beta, witness.mapping)
         except ValueError as exc:
             raise RuntimeError(f"engine bug: the build's witness for task {tag!r} fails: {exc}") from None
-    image = [t.entries[-1] for t in pres.eta.values()]
+    image = [t[-1] for t in pres.eta.values()]
     image_witness = is_uniformly_nowhere_dense(pres.ambient, image)
     if isinstance(image_witness, NowhereDenseFailure):
         raise RuntimeError(
@@ -329,9 +329,9 @@ def _verify_presentation(checks: list[Check], payload: dict):
         if set(eta_raw) != set(eta):
             raise ValueError("eta table does not cover exactly the base points")
         for x, thread in eta.items():
-            if eta_raw[x] != list(thread.entries):
+            if eta_raw[x] != list(thread):
                 raise ValueError(f"eta entry for {x!r} disagrees with the slice maps")
-        if len({t.entries[-1] for t in eta.values()}) != len(eta):
+        if len({t[-1] for t in eta.values()}) != len(eta):
             raise ValueError("eta table is not injective")
 
     _check(checks, "eta table matches the sequence and is injective", run)
@@ -386,7 +386,7 @@ def _verify_embedding(payload: dict) -> list[Check]:
     if presented is None:
         return checks
     params, space, sliced, ambient, eta = presented
-    image = [t.entries[-1] for t in eta.values()]
+    image = [t[-1] for t in eta.values()]
 
     witness = serial.witness_from_json(payload.get("witness"))
     witness_report = validate_witness(ambient, image, witness)
@@ -512,8 +512,8 @@ def _verify_extension(payload: dict) -> list[Check]:
         if set(mapping) != set(src.space.points):
             raise ValueError("mapping does not cover the source points")
         for x, y in mapping.items():
-            got = tuple(tables[a][e] for a, e in enumerate(src.eta[x].entries))
-            if got != dst.eta[y].entries:
+            got = tuple(tables[a][e] for a, e in enumerate(src.eta[x]))
+            if got != dst.eta[y]:
                 raise ValueError(f"extension clause fails at {x!r}")
     _check(checks, "level maps extend the point mapping", extension)
     return checks
@@ -555,7 +555,7 @@ def _verify_retraction(payload: dict) -> list[Check]:
 
     def left_inverse():
         for x, thread in eta.items():
-            if derived[thread.entries[-1]] != x:
+            if derived[thread[-1]] != x:
                 raise ValueError(f"retraction does not restore base point {x!r}")
     _check(checks, "retraction is a left inverse of the embedding", left_inverse)
 

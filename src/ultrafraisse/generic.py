@@ -28,7 +28,7 @@ from .balltree import (
 )
 from .engine import BuildResult, PaddingSchedule, TaskSchedule, build_fraisse
 from .errors import DepthError, InputError
-from .sequences import SequenceArrow, SlicedSequence, Thread
+from .sequences import SequenceArrow, SlicedSequence
 from .slices import SliceObject
 from .spaces import FiniteSpace, PointMap, Surjection
 
@@ -39,29 +39,34 @@ class GenericPresentation(Record):
     space: BallTree
     sliced: SlicedSequence
     ambient: BallTree
-    eta: dict[str, Thread]
-    level_offset: int
+    eta: dict[str, tuple[str, ...]]
     build: BuildResult | None = None
+
+    @property
+    def level_offset(self) -> int:
+        """Ambient levels above the sequence's level 0: 1 when `from_sequence`
+        prepended a root to a non-singleton bottom space, else 0."""
+        return self.ambient.depth - self.sliced.seq.length
 
     def eta_point(self, x: str) -> str:
         """The ambient point carrying x (top entry of its thread)."""
-        return self.eta[x].entries[-1]
+        return self.eta[x][-1]
 
     def holders(self, level: int) -> dict[str, list[str]]:
         """The marked balls at an ambient level: each ball met by the embedded
         image, with the base points whose eta threads pass through it."""
         out: dict[str, list[str]] = {}
         for x in self.space.points:
-            out.setdefault(self.eta[x].entries[level], []).append(x)
+            out.setdefault(self.eta[x][level], []).append(x)
         return out
 
 
 def _validate_presentation(pres: GenericPresentation) -> None:
-    if len({t.entries[-1] for t in pres.eta.values()}) != len(pres.eta):
+    if len({t[-1] for t in pres.eta.values()}) != len(pres.eta):
         raise DepthError("eta is not injective: the sequence is too shallow to separate")
 
 
-def eta_threads(sliced: SlicedSequence, ambient: BallTree) -> dict[str, Thread]:
+def eta_threads(sliced: SlicedSequence, ambient: BallTree) -> dict[str, tuple[str, ...]]:
     """Each base point's thread through the ambient tree rebuilt from
     `sliced`: its slice-map values level by level, under the root that
     `from_sequence` prepends when the bottom space is not a singleton.
@@ -74,7 +79,7 @@ def eta_threads(sliced: SlicedSequence, ambient: BallTree) -> dict[str, Thread]:
     columns = [
         [phi.quotient_map.mapping[row[phi.level]] for row in rows] for phi in sliced.phis
     ]
-    return {x: Thread(root + entries) for x, entries in zip(points, zip(*columns))}
+    return {x: root + entries for x, entries in zip(points, zip(*columns))}
 
 
 def embed_generic(
@@ -99,7 +104,6 @@ def embed_generic(
         sliced=build.sequence,
         ambient=ambient,
         eta=eta_threads(build.sequence, ambient),
-        level_offset=ambient.depth - build.sequence.seq.length,
         build=build,
     )
     _validate_presentation(pres)
@@ -157,14 +161,13 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
         )
     eta = eta_threads(sliced, ambient)
     chains = ambient._chains[-1]
-    if any(thread.entries != chains[p] for p, thread in eta.items()):
+    if any(thread != chains[p] for p, thread in eta.items()):
         raise ValueError("eta must send each base point to its thread through the slice maps")
     pres = GenericPresentation(
         space=base,
         sliced=sliced,
         ambient=ambient,
         eta=eta,
-        level_offset=0,
     )
     _validate_presentation(pres)
     return pres
@@ -436,8 +439,8 @@ class AmbientAutoMap(Record):
                 if dst_parent[upper[child]] != lower[src_parent[child]]:
                     raise ValueError(f"level maps do not commute with parents at {child!r}")
 
-    def apply(self, thread: Thread) -> Thread:
-        return Thread(tuple(self.level_maps[a][e] for a, e in enumerate(thread.entries)))
+    def apply(self, thread: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(self.level_maps[a][e] for a, e in enumerate(thread))
 
 
 def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
@@ -484,7 +487,7 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 holders = src_marked.get(child)
                 if not holders:
                     continue
-                targets = {p.dst.eta[p.mapping[x]].entries[level] for x in holders}
+                targets = {p.dst.eta[p.mapping[x]][level] for x in holders}
                 if len(targets) != 1:
                     raise InputError(
                         f"round {level}: ball {child!r} maps across distinct target balls"

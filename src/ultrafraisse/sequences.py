@@ -56,12 +56,6 @@ class InverseSequence(Record):
         return out
 
 
-class Thread(Record):
-    """A compatible tuple through a sequence: steps send each entry to the one below."""
-
-    entries: tuple[str, ...]
-
-
 def check_coherent(seq: InverseSequence) -> Report:
     """List every non-surjective step.
 
@@ -78,8 +72,10 @@ def check_coherent(seq: InverseSequence) -> Report:
     return Report(tuple(issues))
 
 
-def limit_threads(seq: InverseSequence) -> list[Thread]:
-    """All compatible tuples, one per top-level point, in top-space order."""
+def limit_threads(seq: InverseSequence) -> list[tuple[str, ...]]:
+    """All threads, one per top-level point, in top-space order.
+
+    A thread is a compatible tuple: the steps send each entry to the one below."""
     report = check_coherent(seq)
     if not report.ok:
         raise ValueError(f"incoherent sequence: {report.issues[0]}")
@@ -88,22 +84,22 @@ def limit_threads(seq: InverseSequence) -> list[Thread]:
         entries = [top]
         for step in reversed(seq.steps):
             entries.append(step(entries[-1]))
-        threads.append(Thread(tuple(reversed(entries))))
+        threads.append(tuple(reversed(entries)))
     return threads
 
 
-def project(t: Thread, a: int) -> str:
-    if not 0 <= a < len(t.entries):
-        raise ValueError(f"level {a} out of range for a thread of length {len(t.entries)}")
-    return t.entries[a]
+def project(t: tuple[str, ...], a: int) -> str:
+    if not 0 <= a < len(t):
+        raise ValueError(f"level {a} out of range for a thread of length {len(t)}")
+    return t[a]
 
 
-def is_thread_of(t: Thread, seq: InverseSequence) -> bool:
-    if len(t.entries) != seq.length + 1:
+def is_thread_of(t: tuple[str, ...], seq: InverseSequence) -> bool:
+    if len(t) != seq.length + 1:
         return False
-    if any(e not in sp for e, sp in zip(t.entries, seq.spaces)):
+    if any(e not in sp for e, sp in zip(t, seq.spaces)):
         return False
-    return all(step(t.entries[a + 1]) == t.entries[a] for a, step in enumerate(seq.steps))
+    return all(step(t[a + 1]) == t[a] for a, step in enumerate(seq.steps))
 
 
 class SequenceArrow(Record):
@@ -136,11 +132,10 @@ class SequenceArrow(Record):
                 raise ValueError(f"naturality fails between dst levels {a} and {a + 1}")
 
 
-def apply_sequence_arrow(arrow: SequenceArrow, t: Thread) -> Thread:
+def apply_sequence_arrow(arrow: SequenceArrow, t: tuple[str, ...]) -> tuple[str, ...]:
     if not is_thread_of(t, arrow.src):
         raise ValueError("not a thread of the arrow's source sequence")
-    entries = tuple(arrow.maps[a](t.entries[arrow.reindex[a]]) for a in range(arrow.dst.length + 1))
-    out = Thread(entries)
+    out = tuple(arrow.maps[a](t[arrow.reindex[a]]) for a in range(arrow.dst.length + 1))
     if not is_thread_of(out, arrow.dst):
         raise AssertionError("the arrow sends a thread to a non-thread")
     return out

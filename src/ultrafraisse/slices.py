@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .balltree import BallTree
-from .spaces import FiniteSpace, PointMap, Surjection, pair_label, pullback
+from .spaces import FiniteSpace, PointMap, Surjection, identity, pair_label, pullback
 
 
 class SliceObject(Record):
@@ -72,8 +72,6 @@ class SliceArrow(Record):
 
 
 def identity_arrow(obj: SliceObject) -> SliceArrow:
-    from .spaces import identity
-
     return SliceArrow(obj, obj, identity(obj.target))
 
 

@@ -74,7 +74,7 @@ def test_acceptance_02_roundtrip_and_preimage_law():
         embedding = thread_embedding(tree)
         for alpha in range(tree.depth + 1):
             for label in tree.levels[alpha].points:
-                cylinder = {p for p, t in embedding.items() if t.entries[alpha] == label}
+                cylinder = {p for p, t in embedding.items() if t[alpha] == label}
                 assert cylinder == tree.leafset(alpha, label)
     report(2, "quotient/limit round trip and cylinder preimage law, exhaustive")
 

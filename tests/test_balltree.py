@@ -17,7 +17,7 @@ from ultrafraisse.balltree import (
     validate_witness,
 )
 from ultrafraisse.fixtures import random_tree
-from ultrafraisse.sequences import InverseSequence, Thread, limit_threads
+from ultrafraisse.sequences import InverseSequence, limit_threads
 from ultrafraisse.spaces import FiniteSpace, Surjection
 
 
@@ -91,7 +91,7 @@ def test_quotient_threads_closed_under_compatibility(seed):
 
     tree = random_tree(seed, max_depth=3, max_points=10)
     seq = ball_quotients(tree)
-    threads = {t.entries for t in limit_threads(seq)}
+    threads = set(limit_threads(seq))
     compatible = {
         tup
         for tup in itertools.product(*[sp.points for sp in seq.spaces])
@@ -135,31 +135,31 @@ def test_from_sequence_singleton():
 def test_from_sequence_metric_matches_tuple_agreement():
     seq = seq_125()
     tree = from_sequence(seq)
-    threads = {t.entries[-1]: t for t in limit_threads(ball_quotients(tree))}
+    threads = {t[-1]: t for t in limit_threads(ball_quotients(tree))}
     for p in tree.points:
         for q in tree.points:
             t1, t2 = threads[p], threads[q]
-            agree = max(i for i in range(tree.depth + 1) if t1.entries[i] == t2.entries[i])
+            agree = max(i for i in range(tree.depth + 1) if t1[i] == t2[i])
             assert u_metric(tree, p, q) == agree
 
 
 def test_thread_embedding_injective_and_separating(tree_b3):
     emb = thread_embedding(tree_b3)
-    assert len({t.entries for t in emb.values()}) == len(tree_b3.points)
+    assert len(set(emb.values())) == len(tree_b3.points)
     for a in tree_b3.points:
         for b in tree_b3.points:
             if a == b:
                 continue
             meet = u_metric(tree_b3, a, b)
-            assert emb[a].entries[meet] == emb[b].entries[meet]
-            assert emb[a].entries[meet + 1] != emb[b].entries[meet + 1]
+            assert emb[a][meet] == emb[b][meet]
+            assert emb[a][meet + 1] != emb[b][meet + 1]
 
 
 def test_thread_embedding_preimage_law(tree_b3):
     emb = thread_embedding(tree_b3)
     for alpha in range(tree_b3.depth + 1):
         for label in tree_b3.levels[alpha].points:
-            cylinder = {p for p, t in emb.items() if t.entries[alpha] == label}
+            cylinder = {p for p, t in emb.items() if t[alpha] == label}
             assert cylinder == tree_b3.leafset(alpha, label)
 
 
@@ -167,7 +167,7 @@ def test_one_point_tree_embedding():
     a = FiniteSpace("a", ("a0",))
     tree = BallTree(levels=(a, a), parents=(Surjection(a, a, {"a0": "a0"}),))
     emb = thread_embedding(tree)
-    assert emb == {"a0": Thread(("a0", "a0"))}
+    assert emb == {"a0": ("a0", "a0")}
 
 
 def test_spherical_completeness_chains(tree_b3):

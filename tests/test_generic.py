@@ -11,6 +11,7 @@ from ultrafraisse.engine import PaddingSchedule, TaskSchedule, point_split_task,
 from ultrafraisse.errors import DepthError, InputError
 from ultrafraisse.fixtures import binary_tree, random_tree
 from ultrafraisse.generic import (
+    GenericPresentation,
     PartialHomeo,
     brute_force_lift_oracle,
     embed_generic,
@@ -20,7 +21,7 @@ from ultrafraisse.generic import (
     retract_onto,
     retraction_table,
 )
-from ultrafraisse.sequences import apply_sequence_arrow
+from ultrafraisse.sequences import apply_sequence_arrow, limit_threads
 from ultrafraisse.slices import SliceObject
 from ultrafraisse.spaces import FiniteSpace, Surjection
 
@@ -162,8 +163,8 @@ def test_lift_on_subset_presentation(tree_b3):
         values = set(table.values())
         assert values == set(y_space.points)
         assert all(f(table[tree_b3.ancestor(3, w, lift.beta)]) == g[w] for w in tree_b3.points)
-        assert table[pres.eta["000"].entries[lift.beta]] == "y0"
-        assert table[pres.eta["111"].entries[lift.beta]] == "y1"
+        assert table[pres.eta["000"][lift.beta]] == "y0"
+        assert table[pres.eta["111"][lift.beta]] == "y1"
 
 
 def test_generic_presentation_passes_sequence_certification(pres_k4, tree_k4):
@@ -210,6 +211,29 @@ def test_extend_two_point_swap():
     # restricted to the embedded image the map is exactly the swap
     for x, y in swap.items():
         assert auto.level_maps[-1][x] == y
+
+
+def test_threads_are_plain_tuples(pres_k4, tree_k4):
+    subset = presentation_from_subset(binary_tree(3), ["000", "111"])
+    auto = extend_homeo(PartialHomeo(pres_k4, pres_k4, {x: x for x in tree_k4.points}))
+    arrow = retract_onto(pres_k4)
+    threads = [
+        *pres_k4.eta.values(),
+        *subset.eta.values(),
+        *limit_threads(pres_k4.sliced.seq),
+        *thread_embedding(pres_k4.ambient).values(),
+        *(apply_sequence_arrow(arrow, t) for t in thread_embedding(pres_k4.ambient).values()),
+        *(auto.apply(t) for t in pres_k4.eta.values()),
+    ]
+    assert all(type(t) is tuple for t in threads)
+    assert all(type(e) is str for t in threads for e in t)
+
+
+def test_level_offset_is_read_off_the_ambient(pres_k4):
+    assert GenericPresentation._fields == ("space", "sliced", "ambient", "eta", "build")
+    # the sequence's bottom space is not a singleton, so from_sequence prepends a root
+    assert pres_k4.level_offset == pres_k4.ambient.depth - pres_k4.sliced.seq.length == 1
+    assert presentation_from_subset(binary_tree(3), ["000"]).level_offset == 0
 
 
 def test_extend_rejects_ball_breaking_map(tree_b3):
@@ -272,7 +296,7 @@ def test_point_table_retraction_equals_the_thread_by_thread_arrow(seed, extra_de
     base_chains = thread_embedding(tree)
     for w, thread in thread_embedding(pres.ambient).items():
         image = apply_sequence_arrow(arrow, thread)
-        assert table[w] == image.entries[-1]
+        assert table[w] == image[-1]
         # the left inverse's table form: w goes to x exactly when w's thread goes to x's
         for x, chain in base_chains.items():
             assert (table[w] == x) == (image == chain)

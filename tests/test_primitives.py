@@ -40,7 +40,7 @@ from ultrafraisse.generic import (
     retract_onto,
     retraction_table,
 )
-from ultrafraisse.sequences import InverseSequence, SlicedSequence, Thread, check_coherent
+from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_coherent
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
 
@@ -899,7 +899,7 @@ def old_is_uniformly_nowhere_dense(tree, subset):
 def old_eta_threads(sliced, ambient):
     root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
     return {
-        x: Thread(root + tuple(phi.point_value(x) for phi in sliced.phis))
+        x: root + tuple(phi.point_value(x) for phi in sliced.phis)
         for x in sliced.base.points
     }
 

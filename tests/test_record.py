@@ -10,7 +10,7 @@ import pytest
 import ultrafraisse
 from ultrafraisse._record import Record
 from ultrafraisse.engine import PaddingSchedule, ProbeResult
-from ultrafraisse.sequences import Thread
+from ultrafraisse.sequences import Report
 from ultrafraisse.spaces import FiniteSpace
 
 
@@ -40,7 +40,7 @@ def test_equality_and_hash_follow_class_and_fields():
     assert Pair(1, "a") != OtherPair(1, "a")
     assert Pair(1, "a") != (1, "a")
     assert len({Pair(1, "a"), Pair(1, "a"), OtherPair(1, "a")}) == 2
-    assert hash(Thread(("r", "0"))) == hash((("r", "0"),))
+    assert hash(Report(("r", "0"))) == hash((("r", "0"),))
 
 
 def test_caches_are_not_fields():

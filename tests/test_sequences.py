@@ -5,7 +5,6 @@ import pytest
 from ultrafraisse.sequences import (
     InverseSequence,
     SequenceArrow,
-    Thread,
     apply_sequence_arrow,
     check_coherent,
     is_thread_of,
@@ -76,7 +75,7 @@ def test_limit_threads_singleton_sequence():
     a = space("a", "a0", "a1", "a2")
     seq = InverseSequence((a,), ())
     threads = limit_threads(seq)
-    assert [t.entries for t in threads] == [("a0",), ("a1",), ("a2",)]
+    assert threads == [("a0",), ("a1",), ("a2",)]
 
 
 def test_limit_threads_binary_depth3():
@@ -96,22 +95,22 @@ def test_limit_threads_fixture_125_matches_enumeration():
     seq = seq_125()
     threads = limit_threads(seq)
     assert len(threads) == 5
-    assert {t.entries[1] for t in threads} == {"b0", "b1"}
+    assert {t[1] for t in threads} == {"b0", "b1"}
     # closure: exactly the compatible tuples, no duplicates, none missing
-    assert sorted(t.entries for t in threads) == sorted(_enumerate_compatible(seq))
-    assert len({t.entries for t in threads}) == len(threads)
+    assert sorted(threads) == sorted(_enumerate_compatible(seq))
+    assert len(set(threads)) == len(threads)
 
 
 def test_limit_threads_closure_on_binary_sequence():
     seq = binary_seq(3)
     threads = limit_threads(seq)
-    assert sorted(t.entries for t in threads) == sorted(_enumerate_compatible(seq))
+    assert sorted(threads) == sorted(_enumerate_compatible(seq))
 
 
 def test_project_levels_and_invariant():
     seq = seq_125()
     t = limit_threads(seq)[0]
-    assert project(t, seq.length) == t.entries[-1]
+    assert project(t, seq.length) == t[-1]
     assert project(t, 0) == "a0"
     for a in range(seq.length):
         assert seq.steps[a](project(t, a + 1)) == project(t, a)
@@ -148,7 +147,7 @@ def test_truncation_arrow_gives_prefix():
         maps=tuple(identity(sp) for sp in dst.spaces),
     )
     for t in limit_threads(src):
-        assert apply_sequence_arrow(arrow, t).entries == t.entries[:3]
+        assert apply_sequence_arrow(arrow, t) == t[:3]
 
 
 def test_gapped_arrow_is_natural_and_applies():
@@ -163,7 +162,7 @@ def test_gapped_arrow_is_natural_and_applies():
     for t in limit_threads(src):
         out = apply_sequence_arrow(arrow, t)
         assert is_thread_of(out, dst)
-        assert out.entries == (t.entries[0], t.entries[2])
+        assert out == (t[0], t[2])
 
 
 def test_naturality_is_enforced():
@@ -195,8 +194,8 @@ def test_thread_validity_check():
     seq = seq_125()
     good = limit_threads(seq)[0]
     assert is_thread_of(good, seq)
-    assert not is_thread_of(Thread(("a0", "b0", "c1")), seq)
-    assert not is_thread_of(Thread(("a0", "b0")), seq)
+    assert not is_thread_of(("a0", "b0", "c1"), seq)
+    assert not is_thread_of(("a0", "b0"), seq)
 
 
 def test_random_natural_arrows_preserve_threads():

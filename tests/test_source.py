@@ -47,3 +47,17 @@ def test_module_imports_are_used():
                 if name not in read:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_imports_are_module_level():
+    """No import runs inside a function or class body, so no call pays
+    importlib's lookup."""
+    nested = [
+        f"{path.name}:{inner.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
