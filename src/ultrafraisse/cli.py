@@ -3,6 +3,12 @@ certificates as JSON documents.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capacity or
 depth error, 4 semantic input error, 5 internal error.
+
+`verify` runs in two phases.  `serial.certificate_from_json` first reads
+the shape of every section, and every key the producer writes is
+required: a malformed or missing one is a parse error (exit 2) before any
+check runs.  The `_verify_*` functions then hold only checks, each a PASS
+or FAIL line, and a FAIL exits 1.
 """
 
 from __future__ import annotations
@@ -275,17 +281,14 @@ def _check(checks: list[Check], name: str, fn) -> bool:
     return True
 
 
-def _verify_presentation(checks: list[Check], payload: dict):
+def _verify_presentation(checks: list[Check], sections: dict):
     """Re-check the presentation section of an embedding or retraction
     certificate: the sequence clause by clause, then the ambient tree and the
     eta table, which the sequence determines, re-derived and compared with
     the stated ones.  Returns (params, space, sliced, ambient, eta), or None
     once the sequence checks fail."""
-    params = serial.params_from_json(payload.get("params"), name="certificate params")
-    space = serial.tree_from_json(payload.get("space"), name="certificate space")
-    spaces, steps, phis = serial.sliced_parts_from_json(
-        payload.get("sequence"), space, name="certificate sequence"
-    )
+    params, space = sections["params"], sections["space"]
+    spaces, steps, phis = sections["sequence"]
     holder: dict[str, SlicedSequence] = {}
 
     def assemble():
@@ -306,7 +309,7 @@ def _verify_presentation(checks: list[Check], payload: dict):
         return None
 
     ambient = from_sequence(sliced.seq)
-    ambient_raw = payload.get("ambient")
+    ambient_raw = sections["ambient"]
     if not _check(
         checks,
         "ambient tree equals the rebuilt sequence tree",
@@ -314,22 +317,14 @@ def _verify_presentation(checks: list[Check], payload: dict):
     ):
         # a malformed section is a parse error, not a FAIL line
         serial.tree_from_json(ambient_raw, name="certificate ambient")
-    eta_raw = payload.get("eta", {})
-    serial.require(
-        isinstance(eta_raw, dict)
-        and all(
-            isinstance(k, str) and isinstance(v, list) and all(isinstance(e, str) for e in v)
-            for k, v in eta_raw.items()
-        ),
-        "eta table must map points to label lists",
-    )
+    stated = sections["eta"]
     eta = eta_threads(sliced, ambient)
 
     def run():
-        if set(eta_raw) != set(eta):
+        if set(stated) != set(eta):
             raise ValueError("eta table does not cover exactly the base points")
         for x, thread in eta.items():
-            if eta_raw[x] != list(thread):
+            if stated[x] != thread:
                 raise ValueError(f"eta entry for {x!r} disagrees with the slice maps")
         if len({t[-1] for t in eta.values()}) != len(eta):
             raise ValueError("eta table is not injective")
@@ -342,9 +337,9 @@ def _check_padded_spaces(params: dict, space, spaces: tuple[FiniteSpace, ...]) -
     """Each sequence space i must be the padded space the build makes: id
     L{l}P{k} with l = min(i, space depth) and k strictly increasing, points
     the level-l balls followed by p0..p{n-1}, n = pad_base * pad_growth**k.
-    Sizes are compared without computing a pad size from certificate
-    numbers, so a huge index fails instead of allocating."""
-    PaddingSchedule(params["pad_base"], params["pad_growth"])
+    The index must be the one the pad count needs before a pad size is
+    computed from it, so a huge index fails instead of allocating."""
+    schedule = PaddingSchedule(params["pad_base"], params["pad_growth"])
     last = -1
     for i, sp in enumerate(spaces):
         level = min(i, space.depth)
@@ -358,37 +353,21 @@ def _check_padded_spaces(params: dict, space, spaces: tuple[FiniteSpace, ...]) -
         last = index
         balls = space.levels[level].points
         count = len(sp) - len(balls)
-        size = params["pad_base"]
-        for _ in range(index):
-            if size > count:
-                break
-            size *= params["pad_growth"]
-        if size != count:
+        if schedule.min_index_for(count) != index or schedule.pad(index) != count:
             raise ValueError(f"space {i}: {count} pad points are not pad_base * pad_growth**{index}")
         if sp.points != balls + tuple(f"p{j}" for j in range(count)):
             raise ValueError(f"space {i}: points are not the level-{level} balls and p0..p{count - 1}")
 
 
-def _verify_embedding(payload: dict) -> list[Check]:
+def _verify_embedding(sections: dict) -> list[Check]:
     checks: list[Check] = []
-    tasks, probes = payload.get("tasks", []), payload.get("probes", [])
-    for key, entries in (("tasks", tasks), ("probes", probes)):
-        serial.require(
-            isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-            f"{key} must be a list of objects",
-        )
-    log = payload.get("log", [])
-    serial.require(
-        isinstance(log, list) and all(isinstance(line, str) for line in log),
-        "log must be a list of strings",
-    )
-    presented = _verify_presentation(checks, payload)
+    presented = _verify_presentation(checks, sections)
     if presented is None:
         return checks
     params, space, sliced, ambient, eta = presented
+    tasks, probes, witness = sections["tasks"], sections["probes"], sections["witness"]
     image = [t[-1] for t in eta.values()]
 
-    witness = serial.witness_from_json(payload.get("witness"))
     witness_report = validate_witness(ambient, image, witness)
     _check(
         checks,
@@ -403,17 +382,17 @@ def _verify_embedding(payload: dict) -> list[Check]:
 
     @functools.cache
     def scheduled() -> dict:  # tag -> task generator
-        return dict(_task_schedule(tuple(params["splits"])).entries)
+        return dict(_task_schedule(params["splits"]).entries)
 
     canonical = _canonical_probes(space)
 
     def stated_lists():
-        tags = [entry.get("tag") for entry in tasks]
+        tags = [entry["tag"] for entry in tasks]
         want = list(scheduled())
         if not all(isinstance(tag, str) for tag in tags) or sorted(tags) != sorted(want):
             raise ValueError(f"task tags {tags!r} are not the scheduled splits {want!r}")
         determined = [_probe_json(p) for p in canonical]
-        stated = [{key: e.get(key) for key in determined[0]} for e in probes]
+        stated = [{key: e[key] for key in determined[0]} for e in probes]
         if not _same_json(stated, determined):
             raise ValueError("probes are not the canonical probes of the space")
     _check(checks, "tasks and probes are those params and space determine", stated_lists)
@@ -423,20 +402,20 @@ def _verify_embedding(payload: dict) -> list[Check]:
     for i, entry in enumerate(tasks):
         def task_check(entry=entry):
             # the split the tag names determines the task; only its witness was searched for
-            tag = entry.get("tag")
+            tag = entry["tag"]
             generate = scheduled().get(tag)
             task = generate(sliced) if generate else None
             if task is None:
                 raise ValueError(f"task tag {tag!r} names no split of this sequence")
             for key, want in _task_json(task).items():
-                if not _same_json(entry.get(key), want):
+                if not _same_json(entry[key], want):
                     raise ValueError(f"{key} is not the one {tag!r} determines")
             beta = _index_field(entry, "witness_beta", top)
             witness_map = serial.map_from_json(
                 entry["witness_map"], sliced.seq.spaces[beta], task.arrow.src.target, "task witness"
             )
             _check_task_witness(sliced, task, beta, witness_map)
-        tasks_ok &= _check(checks, f"task {entry.get('tag', i)} absorption witness", task_check)
+        tasks_ok &= _check(checks, f"task {entry['tag']} absorption witness", task_check)
 
     def log_lines():
         want = []
@@ -447,7 +426,7 @@ def _verify_embedding(payload: dict) -> list[Check]:
                 for e in tasks
                 if e["witness_beta"] == i
             ]
-        for n, (got, expected) in enumerate(itertools.zip_longest(log, want)):
+        for n, (got, expected) in enumerate(itertools.zip_longest(sections["log"], want)):
             if got != expected:
                 raise ValueError(f"log line {n} is {got!r}, expected {expected!r}")
 
@@ -468,29 +447,11 @@ def _verify_embedding(payload: dict) -> list[Check]:
     return checks
 
 
-def _verify_extension(payload: dict) -> list[Check]:
+def _verify_extension(sections: dict) -> list[Check]:
     checks: list[Check] = []
-    ambient = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
-    src = presentation_from_subset(
-        ambient, serial.label_list(payload.get("src_points", []), "certificate src_points")
-    )
-    dst = presentation_from_subset(
-        ambient, serial.label_list(payload.get("dst_points", []), "certificate dst_points")
-    )
-    mapping = serial.label_map(payload.get("mapping", {}), "certificate mapping")
-    levels = payload.get("levels", [])
-    serial.require(
-        isinstance(levels, list)
-        and len(levels) == ambient.depth + 1
-        and all(
-            isinstance(entry, dict) and type(entry.get("level")) is int and entry["level"] == i
-            for i, entry in enumerate(levels)
-        ),
-        "levels malformed",
-    )
-    tables = [
-        serial.label_map(entry.get("map", {}), f"level {i} map") for i, entry in enumerate(levels)
-    ]
+    ambient, mapping, tables = sections["ambient"], sections["mapping"], sections["levels"]
+    src = presentation_from_subset(ambient, sections["src_points"])
+    dst = presentation_from_subset(ambient, sections["dst_points"])
 
     def bijections():
         for level, table in enumerate(tables):
@@ -519,33 +480,26 @@ def _verify_extension(payload: dict) -> list[Check]:
     return checks
 
 
-def _verify_retraction(payload: dict) -> list[Check]:
+def _verify_retraction(sections: dict) -> list[Check]:
     checks: list[Check] = []
-    presented = _verify_presentation(checks, payload)
+    presented = _verify_presentation(checks, sections)
     if presented is None:
         return checks
     _, space, sliced, ambient, eta = presented
-
-    reindex = payload.get("reindex", [])
-    maps_raw = payload.get("maps", [])
-    serial.require(isinstance(maps_raw, list), "retraction maps must be a list")
-    table = serial.label_map(payload.get("table", {}), "retraction table")
+    reindex, table = sections["reindex"], sections["table"]
     holder: dict[str, SequenceArrow] = {}
 
     def arrow_check():
-        serial.require(
-            isinstance(reindex, list)
-            and len(reindex) == space.depth + 1
-            and all(type(r) is int and 0 <= r <= ambient.depth for r in reindex),
+        _raise_unless(
+            len(reindex) == space.depth + 1 and all(0 <= r <= ambient.depth for r in reindex),
             "reindex malformed",
         )
-        serial.require(len(maps_raw) == len(reindex), "need one retraction map per reindex entry")
         maps = tuple(
             serial.map_from_json(m, ambient.levels[reindex[i]], space.levels[i], f"retract map {i}")
-            for i, m in enumerate(maps_raw)
+            for i, m in enumerate(sections["maps"])
         )
         holder["arrow"] = SequenceArrow(
-            src=ball_quotients(ambient), dst=ball_quotients(space), reindex=tuple(reindex), maps=maps
+            src=ball_quotients(ambient), dst=ball_quotients(space), reindex=reindex, maps=maps
         )
     _check(checks, "retraction is a natural arrow of sequences", arrow_check)
     if "arrow" not in holder:
@@ -601,31 +555,12 @@ def lift_certificate_payload(pres, f: Surjection, b: dict, g: dict, result) -> d
     return payload
 
 
-def _verify_lift(payload: dict) -> list[Check]:
+def _verify_lift(sections: dict) -> list[Check]:
     checks: list[Check] = []
-    ambient = serial.tree_from_json(payload.get("ambient"), name="certificate ambient")
-    pres = presentation_from_subset(
-        ambient, serial.label_list(payload.get("subset", []), "lift subset")
-    )
-    y_points = serial.label_list(payload.get("f_source"), "lift f_source")
-    x_points = serial.label_list(payload.get("f_target"), "lift f_target")
-    try:
-        y_space, x_space = FiniteSpace("Y", y_points), FiniteSpace("X", x_points)
-    except ValueError as exc:
-        raise SchemaError(f"lift arrow: {exc}") from None
-    f = serial.map_from_json(payload.get("f"), y_space, x_space, "lift arrow")
-    b = serial.label_map(payload.get("b", {}), "lift b")
-    g = serial.label_map(payload.get("g", {}), "lift g")
-    beta = payload.get("beta")
-    serial.require(type(beta) is int and 0 < beta <= ambient.depth, "bad lift level")
-    table = serial.label_map(payload.get("ball_table", {}), "lift ball_table")
-
-    def family(key: str) -> dict[str, tuple[str, ...]]:
-        raw = payload.get(key, {})
-        serial.require(isinstance(raw, dict), f"lift {key} must be an object")
-        return {y: serial.label_list(v, f"lift {key} {y!r}") for y, v in raw.items()}
-
-    avoid, image = family("avoid_families"), family("image_families")
+    ambient, f, b, g = sections["ambient"], sections["f"], sections["b"], sections["g"]
+    beta, table = sections["beta"], sections["ball_table"]
+    avoid, image = sections["avoid_families"], sections["image_families"]
+    pres = presentation_from_subset(ambient, sections["subset"])
 
     def square():
         for x in pres.space.points:
@@ -639,8 +574,8 @@ def _verify_lift(payload: dict) -> list[Check]:
     def families():
         seen: set[str] = set()
         marked = pres.holders(beta)
-        for y in y_space.points:
-            for label in avoid.get(y, ()):
+        for y in f.dom.points:
+            for label in avoid[y]:
                 if label in seen:
                     raise ValueError(f"ball {label!r} assigned twice")
                 seen.add(label)
@@ -648,7 +583,7 @@ def _verify_lift(payload: dict) -> list[Check]:
                     raise ValueError(f"avoid ball {label!r} meets the embedded image")
                 if table.get(label) != y:
                     raise ValueError(f"avoid ball {label!r} not routed to {y!r}")
-            for label in image.get(y, ()):
+            for label in image[y]:
                 if label in seen:
                     raise ValueError(f"ball {label!r} assigned twice")
                 seen.add(label)
@@ -694,9 +629,8 @@ def _index_field(entry: dict, key: str, top: int) -> int:
 
 def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
     payload = _read_json(config.inputs[0])
-    serial.require(isinstance(payload, dict), "certificate must be a JSON object")
-    kind = payload.get("kind")
     checks: list[Check] = []
+    # on a payload that is not an object this check fails, and the schema pass rejects it
     _check(
         checks,
         "content digest matches",
@@ -704,16 +638,15 @@ def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
             payload.get("integrity") == serial.content_digest(payload), "digest mismatch"
         ),
     )
+    kind, sections = serial.certificate_from_json(payload)
     verifiers = {
         "embedding-certificate": _verify_embedding,
         "extension-certificate": _verify_extension,
         "retraction-certificate": _verify_retraction,
         "lift-certificate": _verify_lift,
     }
-    if not isinstance(kind, str) or kind not in verifiers:
-        raise SchemaError(f"unknown certificate kind {kind!r}")
     try:
-        checks += verifiers[kind](payload)
+        checks += verifiers[kind](sections)
     except InputError as exc:
         checks.append(("certificate content re-derivation", "fail", str(exc)))
     failed = [c for c in checks if c[1] == "fail"]

@@ -3,6 +3,8 @@
 The schema is flat and diffable: a tree is its depth, the label lists per
 level and the parent index per child; maps are label-to-label objects.
 Serialization is byte-deterministic (sorted keys, fixed separators).
+`certificate_from_json` is the one schema pass over a certificate: every
+malformed section is a SchemaError before any check runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def label_list(data: Any, name: str) -> tuple[str, ...]:
     """A JSON list of labels as a tuple; SchemaError otherwise."""
     require(
         isinstance(data, list) and all(isinstance(x, str) for x in data),
-        f"{name} must be a list of points",
+        f"{name} must be a list of strings",
     )
     return tuple(data)
 
@@ -50,23 +52,6 @@ def label_map(data: Any, name: str) -> dict[str, str]:
         f"{name} must be a label-to-label object",
     )
     return dict(data)
-
-
-def params_from_json(data: Any, name: str = "params") -> dict:
-    """The run parameters an embedding or retraction certificate states;
-    SchemaError unless every field has its type."""
-    require(isinstance(data, dict), f"{name}: expected an object")
-    depth = data.get("depth")
-    require(type(depth) is int and depth >= 1, f"{name}: 'depth' must be an integer >= 1")
-    for key in ("pad_base", "pad_growth"):
-        require(type(data.get(key)) is int, f"{name}: {key!r} must be an integer")
-    require(isinstance(data.get("seed_label"), str), f"{name}: 'seed_label' must be a string")
-    splits = data.get("splits")
-    require(
-        isinstance(splits, list) and all(isinstance(x, str) for x in splits),
-        f"{name}: 'splits' must be a list of strings",
-    )
-    return data
 
 
 def _encode(value: Any, pad: str) -> str:
@@ -152,12 +137,9 @@ def tree_from_json(data: Any, name: str = "tree") -> BallTree:
     require(len(parents_raw) == data["depth"], f"{name}: need one parent row per non-root level")
     levels = []
     for a, labels in enumerate(levels_raw):
-        require(
-            isinstance(labels, list) and all(isinstance(x, str) for x in labels),
-            f"{name}: level {a} must be a list of strings",
-        )
+        labels = label_list(labels, f"{name}: level {a}")
         try:
-            levels.append(FiniteSpace(id=f"level{a}", points=tuple(labels)))
+            levels.append(FiniteSpace(id=f"level{a}", points=labels))
         except ValueError as exc:
             raise SchemaError(f"{name}: level {a}: {exc}") from None
     parents = []
@@ -230,13 +212,9 @@ def sliced_parts_from_json(
             isinstance(entry, dict) and isinstance(entry.get("id"), str),
             f"{name}: space {i} needs an 'id'",
         )
-        pts = entry.get("points")
-        require(
-            isinstance(pts, list) and all(isinstance(x, str) for x in pts),
-            f"{name}: space {i} needs string points",
-        )
+        pts = label_list(entry.get("points"), f"{name}: space {i} points")
         try:
-            spaces.append(FiniteSpace(id=entry["id"], points=tuple(pts)))
+            spaces.append(FiniteSpace(id=entry["id"], points=pts))
         except ValueError as exc:
             raise SchemaError(f"{name}: space {i}: {exc}") from None
     steps = tuple(
@@ -288,12 +266,131 @@ def witness_from_json(data: Any, name: str = "witness") -> NowhereDenseWitness:
         require(type(alpha) is int and alpha == i, f"{name}: level {i} out of order")
         beta = entry.get("beta")
         require(type(beta) is int, f"{name}: level {i} needs an integer 'beta'")
-        ch = entry.get("choices")
-        require(
-            isinstance(ch, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in ch.items()),
-            f"{name}: level {i} choices must map labels to labels",
-        )
         targets.append(beta)
-        choices.append(dict(ch))
+        choices.append(label_map(entry.get("choices"), f"{name}: level {i} choices"))
     return NowhereDenseWitness(tuple(targets), tuple(choices))
+
+
+_ENTRY_KEYS = {
+    "tasks": ("tag", "stage", "source_points", "source_level", "source_map", "arrow_map",
+              "witness_beta", "witness_map"),
+    "probes": ("target_points", "level", "target_map", "witness_stage", "witness_map"),
+}
+
+
+def _label_lists(data: Any, name: str) -> dict[str, tuple[str, ...]]:
+    """A JSON object of label lists as a dict of tuples; SchemaError otherwise."""
+    require(isinstance(data, dict), f"{name} must map labels to label lists")
+    return {x: label_list(v, f"{name} {x!r}") for x, v in data.items()}
+
+
+def _presentation_sections(cert: dict) -> dict:
+    """The presentation that embedding and retraction certificates share.
+    `ambient` stays JSON: verify compares it with the tree it rebuilds from
+    the sequence and parses it only where they differ."""
+    params, space = cert["params"], tree_from_json(cert["space"], "space")
+    require(isinstance(params, dict), "params: expected an object")
+    require(type(params.get("depth")) is int and params["depth"] >= 1, "params: 'depth' must be an integer >= 1")
+    for key in ("pad_base", "pad_growth"):
+        require(type(params.get(key)) is int, f"params: {key!r} must be an integer")
+    require(isinstance(params.get("seed_label"), str), "params: 'seed_label' must be a string")
+    return {
+        "params": {**params, "splits": label_list(params.get("splits"), "params: 'splits'")},
+        "space": space,
+        "sequence": sliced_parts_from_json(cert["sequence"], space),
+        "eta": _label_lists(cert["eta"], "eta"),
+    }
+
+
+def _embedding_sections(cert: dict) -> dict:
+    """Task and probe entries stay JSON: verify compares them with the tasks
+    and probes it re-derives from the sequence."""
+    for key, keys in _ENTRY_KEYS.items():
+        entries = cert[key]
+        require(
+            isinstance(entries, list)
+            and all(isinstance(e, dict) and all(map(e.__contains__, keys)) for e in entries),
+            f"{key} must be a list of objects with keys {', '.join(keys)}",
+        )
+    return {
+        **_presentation_sections(cert),
+        "witness": witness_from_json(cert["witness"]),
+        "log": label_list(cert["log"], "log"),
+    }
+
+
+def _retraction_sections(cert: dict) -> dict:
+    """The maps' labels and the reindex levels are judged against the
+    ambient that verify rebuilds, so only their types and counts are read."""
+    reindex, maps = cert["reindex"], cert["maps"]
+    require(isinstance(reindex, list) and all(type(r) is int for r in reindex), "reindex must be a list of integers")
+    require(isinstance(maps, list) and len(maps) == len(reindex), "need one retraction map per reindex entry")
+    return {
+        **_presentation_sections(cert),
+        "reindex": tuple(reindex),
+        "maps": [label_map(m, f"retraction map {i}") for i, m in enumerate(maps)],
+        "table": label_map(cert["table"], "retraction table"),
+    }
+
+
+def _extension_sections(cert: dict) -> dict:
+    ambient, levels = tree_from_json(cert["ambient"], "ambient"), cert["levels"]
+    require(
+        isinstance(levels, list)
+        and len(levels) == ambient.depth + 1
+        and all(isinstance(e, dict) and type(e.get("level")) is int and e["level"] == i for i, e in enumerate(levels)),
+        "levels malformed",
+    )
+    return {
+        "ambient": ambient,
+        "src_points": label_list(cert["src_points"], "src_points"),
+        "dst_points": label_list(cert["dst_points"], "dst_points"),
+        "mapping": label_map(cert["mapping"], "mapping"),
+        "levels": [label_map(e.get("map"), f"level {i} map") for i, e in enumerate(levels)],
+    }
+
+
+def _lift_sections(cert: dict) -> dict:
+    ambient, beta = tree_from_json(cert["ambient"], "ambient"), cert["beta"]
+    require(type(beta) is int and 0 < beta <= ambient.depth, "bad lift level")
+    try:
+        y_space = FiniteSpace("Y", label_list(cert["f_source"], "f_source"))
+        x_space = FiniteSpace("X", label_list(cert["f_target"], "f_target"))
+    except ValueError as exc:
+        raise SchemaError(f"lift arrow: {exc}") from None
+    families = {key: _label_lists(cert[key], key) for key in ("avoid_families", "image_families")}
+    for key, family in families.items():
+        require(set(family) == set(y_space.points), f"{key} must hold one family per f_source point")
+    return {
+        "ambient": ambient,
+        "subset": label_list(cert["subset"], "subset"),
+        "f": map_from_json(cert["f"], y_space, x_space, "lift arrow"),
+        "b": label_map(cert["b"], "b"),
+        "g": label_map(cert["g"], "g"),
+        "ball_table": label_map(cert["ball_table"], "ball_table"),
+        **families,
+    }
+
+
+_PRESENTATION = ("params", "space", "sequence", "ambient", "eta")
+# each kind's reader, and every top-level key its producer writes besides `integrity`
+_KINDS = {
+    "embedding-certificate": (_embedding_sections, _PRESENTATION + ("witness", "tasks", "probes", "log")),
+    "retraction-certificate": (_retraction_sections, _PRESENTATION + ("reindex", "maps", "table")),
+    "extension-certificate": (_extension_sections, ("ambient", "src_points", "dst_points", "mapping", "levels")),
+    "lift-certificate": (_lift_sections, ("ambient", "subset", "f_source", "f_target", "f", "b", "g", "beta",
+                                          "ball_table", "avoid_families", "image_families")),
+}
+
+
+def certificate_from_json(payload: Any) -> tuple[str, dict]:
+    """A certificate's kind and its sections, keyed as in the certificate,
+    each read once into the value the verifier checks.  SchemaError unless
+    every key the producer writes is present with its shape."""
+    require(isinstance(payload, dict), "certificate must be a JSON object")
+    kind = payload.get("kind")
+    require(isinstance(kind, str) and kind in _KINDS, f"unknown certificate kind {kind!r}")
+    read, keys = _KINDS[kind]
+    missing = [key for key in keys if key not in payload]
+    require(not missing, f"{kind} lacks {', '.join(missing)}")
+    return kind, {**{key: payload[key] for key in keys}, **read(payload)}

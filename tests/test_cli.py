@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -826,3 +828,61 @@ def test_any_exception_inside_a_check_is_a_fail_line(tmp_path, k4_path, monkeypa
     assert fails == [
         "FAIL ambient tree equals the rebuilt sequence tree: IndexError: tuple index out of range"
     ]
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory):
+    """demo's embedding, retraction and extension, an embedding built with
+    no splits and a lift from `lift_certificate_payload`, by name."""
+    from test_golden import CASES
+
+    out = tmp_path_factory.mktemp("demo")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["demo", "--out", str(out)]) == 0
+    paths = {name: out / f"{name}.json" for name in ("k4-embedding", "k4-retraction", "swap-extension")}
+    for name in ("embed-k4-d4", "lift-b3"):
+        paths[name] = CASES[name](tmp_path_factory.mktemp(name))
+    return {name: json.loads(path.read_text()) for name, path in paths.items()}
+
+
+def _verify_payload(tmp_path, cert, capsys) -> tuple[int, str, str]:
+    """Re-digest a certificate, verify it and return the exit code, stdout and stderr."""
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    code = run("verify", path)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "name", ["k4-embedding", "k4-retraction", "swap-extension", "embed-k4-d4", "lift-b3"]
+)
+def test_every_key_the_producer_writes_is_required(tmp_path, produced, name, capsys):
+    keys = [key for key in produced[name] if key != "integrity"]
+    assert "kind" in keys and len(keys) >= 6
+    for key in keys:
+        cert = json.loads(json.dumps(produced[name]))
+        del cert[key]
+        code, _, err = _verify_payload(tmp_path, cert, capsys)
+        assert code == 2, key
+        assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("k4-embedding", "witness"), ("k4-embedding", "eta"), ("k4-retraction", "table")],
+)
+def test_sections_are_read_before_any_check(tmp_path, produced, name, key, capsys):
+    cert = json.loads(json.dumps(produced[name]))
+    step = cert["sequence"]["steps"][0]
+    step.update(dict.fromkeys(step, cert["sequence"]["spaces"][0]["points"][0]))
+    code, out, _ = _verify_payload(tmp_path, cert, capsys)
+    assert code == 1
+    assert "FAIL sequence is coherent with surjective steps" in out
+    # a malformed section is a parse error even though a check fails before it is used
+    cert[key] = 5
+    code, out, err = _verify_payload(tmp_path, cert, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ")
