@@ -9,14 +9,10 @@ from .balltree import (
     BallTree,
     NowhereDenseFailure,
     NowhereDenseWitness,
-    ball,
     ball_quotients,
-    check_axioms,
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
-    nowhere_dense_to_uniform,
-    thread_embedding,
     u_metric,
     validate_witness,
 )
@@ -28,13 +24,12 @@ from .engine import (
     TaskSchedule,
     build_fraisse,
     dominate_arrow,
-    dominating_arrow,
     make_padded_object,
     point_split_task,
     verify_fraisse,
 )
 from .errors import DepthError, InputError, SchemaError
-from .fixtures import binary_tree, k4, random_tree
+from .fixtures import binary_tree, k4
 from .generic import (
     AmbientAutoMap,
     GenericPresentation,
@@ -55,8 +50,6 @@ from .sequences import (
     SlicedSequence,
     apply_sequence_arrow,
     check_coherent,
-    limit_threads,
-    project,
 )
 from .slices import SliceArrow, SliceObject, amalgamate_slice
 from .spaces import FiniteSpace, PointMap, Surjection, compose, identity, pullback

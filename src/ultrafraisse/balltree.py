@@ -88,47 +88,6 @@ def u_metric(tree: BallTree, a: str, b: str) -> int:
     return meet
 
 
-def ball(tree: BallTree, point: str, alpha: int) -> frozenset[str]:
-    """All points sharing the level-alpha ball of `point`."""
-    if point not in tree.levels[-1]:
-        raise ValueError(f"unknown point {point!r}")
-    if not 0 <= alpha <= tree.depth:
-        raise ValueError(f"level {alpha} out of range")
-    return tree.leafset(alpha, tree.ancestor(tree.depth, point, alpha))
-
-
-def check_axioms(tree: BallTree) -> Report:
-    """Exhaustively verify the three ultrametric laws plus the ball nesting law."""
-    issues = []
-    pts = tree.points
-    d = tree.depth
-    dist = {(a, b): u_metric(tree, a, b) for a in pts for b in pts}
-    for a in pts:
-        for b in pts:
-            if (dist[(a, b)] == d) != (a == b):
-                issues.append(f"identity law fails at ({a!r}, {b!r})")
-            if dist[(a, b)] != dist[(b, a)]:
-                issues.append(f"symmetry fails at ({a!r}, {b!r})")
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                if dist[(y, z)] < min(dist[(y, x)], dist[(x, z)]):
-                    issues.append(f"triangle law fails at ({y!r}, {x!r}, {z!r})")
-    all_balls = [
-        (alpha, label, tree.leafset(alpha, label))
-        for alpha in range(d + 1)
-        for label in tree.levels[alpha].points
-    ]
-    for alpha, la, sa in all_balls:
-        for beta, lb, sb in all_balls:
-            inter = sa & sb
-            if inter and not (sa <= sb or sb <= sa):
-                issues.append(f"balls ({alpha},{la!r}) and ({beta},{lb!r}) overlap without nesting")
-            if sa < sb and not alpha > beta:
-                issues.append(f"strict nesting ({alpha},{la!r}) < ({beta},{lb!r}) without level drop")
-    return Report(tuple(issues))
-
-
 def ball_quotients(tree: BallTree) -> InverseSequence:
     """The inverse sequence of level spaces with parent maps as steps."""
     return InverseSequence(spaces=tree.levels, steps=tree.parents)
@@ -157,11 +116,6 @@ def from_sequence(seq: InverseSequence) -> BallTree:
         steps.insert(0, Surjection(spaces[0], root, {p: ROOT_LABEL for p in spaces[0].points}))
         spaces.insert(0, root)
     return BallTree(levels=tuple(spaces), parents=tuple(steps))
-
-
-def thread_embedding(tree: BallTree) -> dict[str, tuple[str, ...]]:
-    """Each point mapped to its chain of ancestors, a thread of the ball quotients."""
-    return dict(tree._chains[tree.depth])
 
 
 class NowhereDenseWitness(Record):
@@ -297,46 +251,6 @@ def validate_witness(tree: BallTree, subset: Iterable[str], witness: NowhereDens
             if picked in met[beta]:
                 issues.append(f"level {alpha}: choice {picked!r} meets the subset")
     return Report(tuple(issues))
-
-
-def nowhere_dense_to_uniform(
-    tree: BallTree,
-    subset: Iterable[str],
-    per_ball: Mapping[tuple[int, str], tuple[int, str]],
-) -> NowhereDenseWitness:
-    """Turn per-ball avoidance data into a uniform witness.
-
-    `per_ball` assigns to every ball (alpha, label) with alpha < depth some
-    deeper level and an avoiding ball inside it.  Per level the uniform target
-    is the maximum of the per-ball levels; each witness ball is deepened to
-    that level by taking its least descendant, which still avoids the subset.
-    """
-    met = met_balls(tree, subset)
-    target_levels = []
-    choices = []
-    for alpha in range(tree.depth):
-        entries = {}
-        for label in tree.levels[alpha].points:
-            got = per_ball.get((alpha, label))
-            if got is None:
-                raise ValueError(f"per_ball data missing for ball ({alpha}, {label!r})")
-            beta_v, picked = got
-            if not alpha < beta_v <= tree.depth:
-                raise ValueError(f"ball ({alpha}, {label!r}): level {beta_v} not below {label!r}")
-            if picked not in tree.levels[beta_v] or tree._chains[beta_v][picked][alpha] != label:
-                raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} not inside it")
-            if picked in met[beta_v]:
-                raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} meets the subset")
-            entries[label] = (beta_v, picked)
-        beta = max(b for b, _ in entries.values())
-        deepened = {}
-        for label, (beta_v, picked) in entries.items():
-            deepened[label] = tree.descendants(beta_v, picked, beta)[0]
-            if deepened[label] in met[beta]:
-                raise AssertionError(f"descendant {deepened[label]!r} of a free ball meets the subset")
-        target_levels.append(beta)
-        choices.append(deepened)
-    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
 
 
 def factoring_level(tree: BallTree, point_map: Mapping[str, str]) -> int:

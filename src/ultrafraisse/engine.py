@@ -121,31 +121,6 @@ def pad_routes(count: int, low: PaddedObject) -> list[str]:
     return (cycle * (count // len(cycle) + 1))[:count]
 
 
-def dominating_arrow(
-    tree: BallTree,
-    low: tuple[int, int],
-    high: tuple[int, int],
-    schedule: PaddingSchedule,
-) -> SliceArrow:
-    """Canonical surjection between padded objects, from `high` indices to `low`.
-
-    Ball labels follow the parent chain and pads follow `pad_routes`; at
-    equal pad indices each pad stays put.
-    """
-    (alpha, xi), (beta, delta) = low, high
-    if not (0 <= alpha <= beta <= tree.depth):
-        raise ValueError(f"ball levels must satisfy 0 <= {alpha} <= {beta} <= {tree.depth}")
-    if xi > delta:
-        raise ValueError(f"pad indices must satisfy {xi} <= {delta}")
-    src = make_padded_object(tree, beta, delta, schedule)
-    dst = make_padded_object(tree, alpha, xi, schedule)
-    pads = src.pad_labels
-    mapping = {b: tree.ancestor(beta, b, alpha) for b in src.ball_labels}
-    mapping.update(zip(pads, pads if xi == delta else pad_routes(len(pads), dst)))
-    q = Surjection(src.object.target, dst.object.target, mapping)
-    return SliceArrow(src.object, dst.object, q)
-
-
 def dominate_arrow(
     arrow: SliceArrow,
     dst: PaddedObject,
@@ -214,7 +189,7 @@ def dominate_arrow(
         for i, x in enumerate(tail):
             mapping[x] = fresh[i % len(fresh)]
     g = SliceArrow(padded.object, h, Surjection(padded.object.target, h.target, mapping))
-    # the canonical surjection onto dst, as dominating_arrow defines it (delta > xi)
+    # the canonical surjection onto dst: balls up their parent chains, pads along their routes
     canonical = {b: tree.ancestor(beta, b, alpha) for b in padded.ball_labels}
     canonical.update(zip(padded.pad_labels, routes))
     if compose(arrow.q, g.q).mapping != canonical:

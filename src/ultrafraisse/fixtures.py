@@ -1,8 +1,6 @@
-"""Shared example trees: binary prefix trees and seeded random trees."""
+"""Shared example trees: binary prefix trees."""
 
 from __future__ import annotations
-
-import random
 
 from .balltree import BallTree
 from .spaces import FiniteSpace, Surjection
@@ -27,38 +25,3 @@ def binary_tree(depth: int) -> BallTree:
 def k4() -> BallTree:
     """The four-point binary depth-2 tree used throughout the test fixtures."""
     return binary_tree(2)
-
-
-def random_tree(seed: int, max_depth: int = 5, max_points: int = 64) -> BallTree:
-    """A seeded random ball tree with bounded depth and leaf count."""
-    rng = random.Random(seed)
-    depth = rng.randint(1, max_depth)
-    levels = [FiniteSpace(id="rt0", points=("b",))]
-    parents = []
-    for a in range(depth):
-        upper = []
-        mapping = {}
-        for label in levels[a].points:
-            width = rng.randint(1, 4)
-            for i in range(width):
-                child = f"{label}.{i}"
-                upper.append(child)
-                mapping[child] = label
-        # trim uniformly if the level exceeds the leaf budget, keeping one child each
-        if len(upper) > max_points:
-            keep = {label: False for label in levels[a].points}
-            trimmed = []
-            for child in upper:
-                parent = mapping[child]
-                if not keep[parent]:
-                    keep[parent] = True
-                    trimmed.append(child)
-            for child in upper:
-                if child not in trimmed and len(trimmed) < max_points:
-                    trimmed.append(child)
-            upper = [c for c in upper if c in set(trimmed)]
-            mapping = {c: mapping[c] for c in upper}
-        space = FiniteSpace(id=f"rt{a + 1}", points=tuple(upper))
-        parents.append(Surjection(space, levels[a], mapping))
-        levels.append(space)
-    return BallTree(levels=tuple(levels), parents=tuple(parents))

@@ -72,28 +72,6 @@ def check_coherent(seq: InverseSequence) -> Report:
     return Report(tuple(issues))
 
 
-def limit_threads(seq: InverseSequence) -> list[tuple[str, ...]]:
-    """All threads, one per top-level point, in top-space order.
-
-    A thread is a compatible tuple: the steps send each entry to the one below."""
-    report = check_coherent(seq)
-    if not report.ok:
-        raise ValueError(f"incoherent sequence: {report.issues[0]}")
-    threads = []
-    for top in seq.spaces[-1].points:
-        entries = [top]
-        for step in reversed(seq.steps):
-            entries.append(step(entries[-1]))
-        threads.append(tuple(reversed(entries)))
-    return threads
-
-
-def project(t: tuple[str, ...], a: int) -> str:
-    if not 0 <= a < len(t):
-        raise ValueError(f"level {a} out of range for a thread of length {len(t)}")
-    return t[a]
-
-
 def is_thread_of(t: tuple[str, ...], seq: InverseSequence) -> bool:
     if len(t) != seq.length + 1:
         return False

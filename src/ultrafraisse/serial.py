@@ -126,44 +126,50 @@ def tree_to_json(tree: BallTree) -> dict:
     }
 
 
-def tree_from_json(data: Any, name: str = "tree") -> BallTree:
+def tree_parts_from_json(data: Any, name: str = "tree") -> tuple[list[tuple[str, ...]], list[list[int]]]:
+    """A tree section's labels per level and parent rows, read without
+    building a tree.  SchemaError for every section `tree_from_json`
+    cannot build: repeated labels, bad or unattained parent indices."""
     require(isinstance(data, dict), f"{name}: expected an object")
-    require(type(data.get("depth")) is int, f"{name}: 'depth' must be an integer")
-    levels_raw = data.get("levels")
-    parents_raw = data.get("parents")
+    depth, levels_raw, parents_raw = data.get("depth"), data.get("levels"), data.get("parents")
+    require(type(depth) is int, f"{name}: 'depth' must be an integer")
     require(isinstance(levels_raw, list) and levels_raw, f"{name}: 'levels' must be a list")
     require(isinstance(parents_raw, list), f"{name}: 'parents' must be a list")
-    require(len(levels_raw) == data["depth"] + 1, f"{name}: depth disagrees with level count")
-    require(len(parents_raw) == data["depth"], f"{name}: need one parent row per non-root level")
+    require(len(levels_raw) == depth + 1, f"{name}: depth disagrees with level count")
+    require(len(parents_raw) == depth, f"{name}: need one parent row per non-root level")
     levels = []
     for a, labels in enumerate(levels_raw):
         labels = label_list(labels, f"{name}: level {a}")
-        try:
-            levels.append(FiniteSpace(id=f"level{a}", points=labels))
-        except ValueError as exc:
-            raise SchemaError(f"{name}: level {a}: {exc}") from None
-    parents = []
+        require(labels, f"{name}: level {a} has no labels")
+        require(len(set(labels)) == len(labels), f"{name}: level {a} repeats a label")
+        levels.append(labels)
     for a, row in enumerate(parents_raw):
-        upper, lower = levels[a + 1], levels[a]
+        size = len(levels[a])
         require(
-            isinstance(row, list) and len(row) == len(upper),
+            isinstance(row, list) and len(row) == len(levels[a + 1]),
             f"{name}: parent row {a} must list one index per level-{a + 1} ball",
         )
-        mapping = {}
-        size = len(lower)
-        for child, idx in zip(upper.points, row):
-            # the message is formatted only for a bad index: this loop reads every ball
-            if type(idx) is not int or not 0 <= idx < size:
-                raise SchemaError(f"{name}: parent row {a}: index {idx!r} out of range")
-            mapping[child] = lower.points[idx]
-        try:
-            parents.append(Surjection(upper, lower, mapping))
-        except ValueError as exc:
-            raise SchemaError(f"{name}: parent row {a}: {exc}") from None
-    try:
-        return BallTree(levels=tuple(levels), parents=tuple(parents))
-    except ValueError as exc:
-        raise SchemaError(f"{name}: {exc}") from None
+        # the offender is looked for only in a bad row: these scans read every ball
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= size:
+            idx = next(i for i in row if type(i) is not int or not 0 <= i < size)
+            raise SchemaError(f"{name}: parent row {a}: index {idx!r} out of range")
+        hit = set(row)
+        if len(hit) != size:
+            miss = next(q for i, q in enumerate(levels[a]) if i not in hit)
+            raise SchemaError(f"{name}: parent row {a} misses level-{a} ball {miss!r}")
+    require(depth >= 1, f"{name}: a ball tree needs depth >= 1")
+    require(len(levels[0]) == 1, f"{name}: level 0 must consist of a single ball")
+    return levels, parents_raw
+
+
+def tree_from_json(data: Any, name: str = "tree") -> BallTree:
+    labels, rows = tree_parts_from_json(data, name)
+    levels = tuple(FiniteSpace(id=f"level{a}", points=points) for a, points in enumerate(labels))
+    parents = tuple(
+        Surjection._built(upper, lower, dict(zip(upper.points, map(lower.points.__getitem__, row))))
+        for upper, lower, row in zip(levels[1:], levels, rows)
+    )
+    return BallTree(levels=levels, parents=parents)
 
 
 def map_from_json(data: Any, dom: FiniteSpace, cod: FiniteSpace, name: str, surjective: bool = True):
@@ -286,9 +292,10 @@ def _label_lists(data: Any, name: str) -> dict[str, tuple[str, ...]]:
 
 def _presentation_sections(cert: dict) -> dict:
     """The presentation that embedding and retraction certificates share.
-    `ambient` stays JSON: verify compares it with the tree it rebuilds from
-    the sequence and parses it only where they differ."""
+    `ambient` stays JSON once its shape is read: verify compares it with
+    the tree it rebuilds from the sequence."""
     params, space = cert["params"], tree_from_json(cert["space"], "space")
+    tree_parts_from_json(cert["ambient"], "ambient")
     require(isinstance(params, dict), "params: expected an object")
     require(type(params.get("depth")) is int and params["depth"] >= 1, "params: 'depth' must be an integer >= 1")
     for key in ("pad_base", "pad_growth"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .balltree import BallTree
-from .spaces import FiniteSpace, PointMap, Surjection, identity, pair_label, pullback
+from .spaces import FiniteSpace, PointMap, Surjection, pair_label, pullback
 
 
 class SliceObject(Record):
@@ -69,10 +69,6 @@ class SliceArrow(Record):
                     f"arrow does not commute over the base: ball {label!r} "
                     f"maps to {got!r}, expected {want!r}"
                 )
-
-
-def identity_arrow(obj: SliceObject) -> SliceArrow:
-    return SliceArrow(obj, obj, identity(obj.target))
 
 
 def amalgamate_slice(

@@ -16,18 +16,15 @@ from ultrafraisse.balltree import (
     NowhereDenseFailure,
     NowhereDenseWitness,
     ball_quotients,
-    check_axioms,
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
-    nowhere_dense_to_uniform,
-    thread_embedding,
     validate_witness,
 )
 from ultrafraisse.cli import main
 from ultrafraisse.engine import TaskSchedule, point_split_task, verify_fraisse
 from ultrafraisse.errors import InputError
-from ultrafraisse.fixtures import binary_tree, k4, random_tree
+from ultrafraisse.fixtures import binary_tree, k4
 from ultrafraisse.generic import (
     PartialHomeo,
     brute_force_lift_oracle,
@@ -42,6 +39,8 @@ from ultrafraisse.engine import PaddingSchedule, build_fraisse
 from ultrafraisse.sequences import InverseSequence, SlicedSequence, apply_sequence_arrow
 from ultrafraisse.slices import SliceObject, amalgamate_slice
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
+
+from oracles import check_axioms, nowhere_dense_to_uniform, random_tree, thread_embedding
 
 
 SCHEDULE = PaddingSchedule()

@@ -5,20 +5,17 @@ from ultrafraisse.balltree import (
     BallTree,
     NowhereDenseFailure,
     NowhereDenseWitness,
-    ball,
     ball_quotients,
-    check_axioms,
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
-    nowhere_dense_to_uniform,
-    thread_embedding,
     u_metric,
     validate_witness,
 )
-from ultrafraisse.fixtures import random_tree
-from ultrafraisse.sequences import InverseSequence, limit_threads
+from ultrafraisse.sequences import InverseSequence
 from ultrafraisse.spaces import FiniteSpace, Surjection
+
+from oracles import ball, check_axioms, limit_threads, nowhere_dense_to_uniform, random_tree, thread_embedding
 
 
 def seq_125():

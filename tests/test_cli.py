@@ -872,7 +872,13 @@ def test_every_key_the_producer_writes_is_required(tmp_path, produced, name, cap
 
 @pytest.mark.parametrize(
     "name, key",
-    [("k4-embedding", "witness"), ("k4-embedding", "eta"), ("k4-retraction", "table")],
+    [
+        ("k4-embedding", "witness"),
+        ("k4-embedding", "eta"),
+        ("k4-embedding", "ambient"),
+        ("k4-retraction", "table"),
+        ("k4-retraction", "ambient"),
+    ],
 )
 def test_sections_are_read_before_any_check(tmp_path, produced, name, key, capsys):
     cert = json.loads(json.dumps(produced[name]))

@@ -12,17 +12,17 @@ from ultrafraisse.engine import (
     TaskSchedule,
     build_fraisse,
     dominate_arrow,
-    dominating_arrow,
     make_padded_object,
     pad_routes,
     point_split_task,
     verify_fraisse,
 )
 from ultrafraisse.errors import DepthError
-from ultrafraisse.fixtures import random_tree
 from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_coherent
-from ultrafraisse.slices import SliceArrow, SliceObject, identity_arrow
+from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
+
+from oracles import dominating_arrow, identity_arrow, random_tree
 
 
 def test_padding_schedule_default_doubles():

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 from ultrafraisse.balltree import (
     BallTree,
     is_uniformly_nowhere_dense,
-    thread_embedding,
     validate_witness,
 )
 from ultrafraisse.engine import PaddingSchedule, TaskSchedule, point_split_task, verify_fraisse
 from ultrafraisse.errors import DepthError, InputError
-from ultrafraisse.fixtures import binary_tree, random_tree
+from ultrafraisse.fixtures import binary_tree
 from ultrafraisse.generic import (
     GenericPresentation,
     PartialHomeo,
@@ -21,9 +20,11 @@ from ultrafraisse.generic import (
     retract_onto,
     retraction_table,
 )
-from ultrafraisse.sequences import apply_sequence_arrow, limit_threads
+from ultrafraisse.sequences import apply_sequence_arrow
 from ultrafraisse.slices import SliceObject
 from ultrafraisse.spaces import FiniteSpace, Surjection
+
+from oracles import limit_threads, random_tree, thread_embedding
 
 
 def one_point_tree():

@@ -42,9 +42,11 @@ import ultrafraisse
 from ultrafraisse import serial
 from ultrafraisse.cli import lift_certificate_payload, main
 from ultrafraisse.engine import PaddingSchedule, build_fraisse
-from ultrafraisse.fixtures import binary_tree, k4, random_tree
+from ultrafraisse.fixtures import binary_tree, k4
 from ultrafraisse.generic import lift_through_generic, presentation_from_subset
 from ultrafraisse.spaces import FiniteSpace, Surjection
+
+from oracles import random_tree
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 GRID = Path(__file__).parent / "golden" / "grid.json"

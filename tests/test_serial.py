@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import ultrafraisse
 from ultrafraisse import serial
 from ultrafraisse.errors import SchemaError
+from ultrafraisse.balltree import BallTree
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection
 
 # --- serial.dumps is byte for byte the stdlib's indent=2 sorted encoding
@@ -158,6 +159,101 @@ def test_map_from_json_reports_non_string_labels_first():
     data = {"a": "u", "b": "v", "c": "w", "d": "u", 1: "u"}
     with pytest.raises(SchemaError, match="^step 0: labels must be strings$"):
         serial.map_from_json(data, _DOM, _COD, "step 0")
+
+
+# --- a tree section's shape is read without building it, and rejects what building rejects
+
+
+def _checked_tree_from_json(data, name="tree"):
+    """serial.tree_from_json when the constructors' own checks judged the
+    section, verbatim."""
+    serial.require(isinstance(data, dict), f"{name}: expected an object")
+    serial.require(type(data.get("depth")) is int, f"{name}: 'depth' must be an integer")
+    levels_raw = data.get("levels")
+    parents_raw = data.get("parents")
+    serial.require(isinstance(levels_raw, list) and levels_raw, f"{name}: 'levels' must be a list")
+    serial.require(isinstance(parents_raw, list), f"{name}: 'parents' must be a list")
+    serial.require(len(levels_raw) == data["depth"] + 1, f"{name}: depth disagrees with level count")
+    serial.require(len(parents_raw) == data["depth"], f"{name}: need one parent row per non-root level")
+    levels = []
+    for a, labels in enumerate(levels_raw):
+        labels = serial.label_list(labels, f"{name}: level {a}")
+        try:
+            levels.append(FiniteSpace(id=f"level{a}", points=labels))
+        except ValueError as exc:
+            raise SchemaError(f"{name}: level {a}: {exc}") from None
+    parents = []
+    for a, row in enumerate(parents_raw):
+        upper, lower = levels[a + 1], levels[a]
+        serial.require(
+            isinstance(row, list) and len(row) == len(upper),
+            f"{name}: parent row {a} must list one index per level-{a + 1} ball",
+        )
+        mapping = {}
+        size = len(lower)
+        for child, idx in zip(upper.points, row):
+            if type(idx) is not int or not 0 <= idx < size:
+                raise SchemaError(f"{name}: parent row {a}: index {idx!r} out of range")
+            mapping[child] = lower.points[idx]
+        try:
+            parents.append(Surjection(upper, lower, mapping))
+        except ValueError as exc:
+            raise SchemaError(f"{name}: parent row {a}: {exc}") from None
+    try:
+        return BallTree(levels=tuple(levels), parents=tuple(parents))
+    except ValueError as exc:
+        raise SchemaError(f"{name}: {exc}") from None
+
+
+_odd_values = st.sampled_from([True, False, 1.0, None, "0", [], {}])
+
+
+@st.composite
+def _malformed_trees(draw):
+    """A small tree section with a label, an index, a row, a level, the
+    depth or a key changed, or no object at all."""
+    depth = draw(st.integers(0, 3))
+    levels, parents = [["r"]], []
+    for a in range(depth):
+        size = len(levels[a])
+        extra = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=2))
+        parents.append(draw(st.permutations(list(range(size)) + extra)))
+        levels.append([f"{a}.{i}" for i in range(len(parents[a]))])
+    data = {"depth": depth, "levels": levels, "parents": parents}
+    edit = draw(st.sampled_from(["none", "depth", "label", "index", "row", "level", "root", "section"]))
+    k = draw(st.integers(min(depth, 1), depth))  # a level, above the root when there is one
+    if edit == "depth":
+        data["depth"] = draw(st.one_of(st.integers(-1, 4), _odd_values))
+    elif edit == "label":
+        levels[k][-1] = draw(st.one_of(st.sampled_from([levels[k][0], "x"]), _odd_values))
+    elif edit == "index" and depth:
+        row = parents[k - 1]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(st.integers(-1, len(levels[k - 1])), _odd_values))
+    elif edit == "row" and depth:
+        row = parents[k - 1]
+        parents[k - 1] = draw(st.sampled_from([row[1:], row + [0], [0] * len(row), 3, None]))
+    elif edit == "level":
+        levels[k] = draw(st.sampled_from([levels[k] + ["extra"], [], "r", None]))
+    elif edit == "root":  # a second root ball, which the first parent row reaches
+        levels[0].append("s")
+        if parents:
+            parents[0][-1] = 1
+    elif edit == "section":
+        del data[draw(st.sampled_from(["depth", "levels", "parents"]))]
+    return draw(st.sampled_from([data] * 8 + [[data], None]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_trees())
+def test_tree_shape_rejects_what_the_constructors_reject(data):
+    checked = _outcome(_checked_tree_from_json, data)
+    shape = _outcome(serial.tree_parts_from_json, data)
+    if checked is None:
+        assert shape is None
+        assert serial.tree_from_json(data) == _checked_tree_from_json(data)
+    else:
+        assert shape is not None and shape[0] is SchemaError
+        assert _outcome(serial.tree_from_json, data) == shape
 
 
 # --- every digest is SHA-256 of the UTF-8 text, whichever module computes it

@@ -6,9 +6,10 @@ from ultrafraisse.slices import (
     SliceArrow,
     SliceObject,
     amalgamate_slice,
-    identity_arrow,
 )
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, pair_label
+
+from oracles import identity_arrow
 
 
 def slice_obj(tree, level, name, values, extra=()):
