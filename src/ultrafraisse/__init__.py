@@ -21,11 +21,9 @@ from .engine import (
     FraisseTask,
     PaddedObject,
     PaddingSchedule,
-    TaskSchedule,
     build_fraisse,
     dominate_arrow,
     make_padded_object,
-    point_split_task,
     verify_fraisse,
 )
 from .errors import DepthError, InputError, SchemaError

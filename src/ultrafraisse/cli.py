@@ -31,8 +31,8 @@ from .balltree import (
 from .engine import (
     FraisseTask,
     PaddingSchedule,
-    TaskSchedule,
-    point_split_task,
+    split_tags,
+    split_task,
     stage_log_line,
     task_log_line,
     verify_fraisse,
@@ -104,7 +104,8 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: malformed JSON: {exc}") from None
 
 
-def _task_schedule(splits: tuple[str, ...]) -> TaskSchedule:
+def _parse_splits(splits: tuple[str, ...]) -> tuple[tuple[int, str], ...]:
+    """Each --split STAGE:POINT as a (stage, point) pair."""
     entries = []
     for spec_text in splits:
         stage_text, _, point = spec_text.partition(":")
@@ -114,8 +115,8 @@ def _task_schedule(splits: tuple[str, ...]) -> TaskSchedule:
             stage = int(stage_text)
         except ValueError:
             raise InputError(f"--split stage {stage_text!r} is not an integer") from None
-        entries.append(point_split_task(stage, point))
-    return TaskSchedule(tuple(entries))
+        entries.append((stage, point))
+    return tuple(entries)
 
 
 def _canonical_probes(tree) -> list[SliceObject]:
@@ -163,7 +164,7 @@ def _presentation(config: RunConfig) -> tuple[GenericPresentation, dict]:
     retraction certificates share."""
     tree = serial.tree_from_json(_read_json(config.inputs[0]), name=config.inputs[0])
     schedule = PaddingSchedule(config.pad_base, config.pad_growth)
-    pres = embed_generic(tree, config.depth, schedule, _task_schedule(config.splits))
+    pres = embed_generic(tree, config.depth, schedule, _parse_splits(config.splits))
     section = {
         "params": {
             "depth": config.depth,
@@ -379,8 +380,9 @@ def _verify_embedding(sections: dict) -> list[Check]:
     _check(checks, "witness matches the exhaustive search", minimality)
 
     @functools.cache
-    def scheduled() -> dict:  # tag -> task generator
-        return dict(_task_schedule(params["splits"]).entries)
+    def scheduled() -> dict:  # tag -> (stage, point)
+        splits = _parse_splits(params["splits"])
+        return dict(zip(split_tags(splits), splits))
 
     canonical = _canonical_probes(space)
 
@@ -401,10 +403,10 @@ def _verify_embedding(sections: dict) -> list[Check]:
         def task_check(entry=entry):
             # the split the tag names determines the task; only its witness was searched for
             tag = entry["tag"]
-            generate = scheduled().get(tag)
-            task = generate(sliced) if generate else None
-            if task is None:
+            split = scheduled().get(tag)
+            if split is None or split[0] > top:
                 raise ValueError(f"task tag {tag!r} names no split of this sequence")
+            task = split_task(sliced.phis[split[0]], *split)
             for key, want in _task_json(task).items():
                 if not _same_json(entry[key], want):
                     raise ValueError(f"{key} is not the one {tag!r} determines")
@@ -653,8 +655,11 @@ def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
 
 def _write(path, text: str) -> None:
     """Write ASCII text as bytes, without pathlib's text layer."""
-    with open(path, "wb") as handle:
-        handle.write(text.encode())
+    try:
+        with open(path, "wb") as handle:
+            handle.write(text.encode())
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(config: RunConfig, payload: dict, summary: str) -> None:
@@ -680,7 +685,10 @@ def _run_verify(config: RunConfig) -> int:
 
 def cmd_demo(config: RunConfig) -> int:
     out_dir = config.out or "demo-out"
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {out_dir}: {exc}") from None
 
     k4_path = os.path.join(out_dir, "k4.json")
     _write(k4_path, serial.dumps(serial.tree_to_json(k4())))

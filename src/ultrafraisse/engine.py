@@ -6,18 +6,19 @@ never reaches.  Canonical surjections between padded spaces route ball
 labels along parent chains and padding round-robin onto both the coarser
 padding and, cyclically, the coarser balls (`pad_routes`).
 
-`build_fraisse` walks a rigid ball-level track, absorbing scheduled test
-arrows by pullback before each advance; the pad block per level grows just
-enough for every absorbed arrow to factor back through the canonical
-surjection.  `verify_fraisse` recertifies the two sequence conditions
-(reach every object; factor every arrow into a stage) from scratch.
+`build_fraisse` walks a rigid ball-level track, absorbing the scheduled
+point splits of each stage (`split_task`) by pullback before it advances;
+the pad block per level grows just enough for every absorbed split to
+factor back through the canonical surjection.  `verify_fraisse`
+recertifies the two sequence conditions (reach every object; factor every
+arrow into a stage) from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._record import Record
 from .balltree import BallTree
@@ -203,55 +204,44 @@ class FraisseTask(Record):
     stage: int
     arrow: SliceArrow
 
-    def __post_init__(self):
-        if self.stage < 0:
-            raise ValueError("stage must be nonnegative")
+
+def split_tags(splits: Sequence[tuple[int, str]]) -> tuple[str, ...]:
+    """The tag split:S:P of each (stage S, point P) split, in order.
+
+    Rejects a negative stage, which no round of the build reaches, and a
+    repeated split, whose tag would name two tasks.
+    """
+    if any(stage < 0 for stage, _ in splits):
+        raise ValueError("stage must be nonnegative")
+    tags = tuple(f"split:{stage}:{point}" for stage, point in splits)
+    if len(set(tags)) != len(tags):
+        raise ValueError("task tags must be distinct")
+    return tags
 
 
-TaskGenerator = Callable[[SlicedSequence], FraisseTask | None]
-
-
-class TaskSchedule(Record):
-    """FIFO list of (tag, generator); a generator may wait (return None)
-    until the stage it targets exists."""
-
-    entries: tuple[tuple[str, TaskGenerator], ...] = ()
-
-    def __post_init__(self):
-        tags = [tag for tag, _ in self.entries]
-        if len(set(tags)) != len(tags):
-            raise ValueError("task tags must be distinct")
-
-
-def point_split_task(stage: int, point: str) -> tuple[str, TaskGenerator]:
-    """Generator splitting one target point of stage `stage` into two copies."""
-
-    def generate(current: SlicedSequence) -> FraisseTask | None:
-        if current.seq.length < stage:
-            return None
-        phi = current.phis[stage]
-        if point not in phi.target:
-            raise ValueError(f"{point!r} is not a point of stage {stage}")
-        low, high = f"{point}<0", f"{point}<1"
-        if low in phi.target or high in phi.target:
-            raise ValueError(f"split labels for {point!r} collide with existing points")
-        i = phi.target.index(point)
-        head, tail = phi.target.points[:i], phi.target.points[i + 1:]
-        points = head + (low, high) + tail
-        split_space = FiniteSpace(id=f"{phi.target.id}|split({point})", points=points)
-        collapse = Surjection(split_space, phi.target, dict(zip(points, head + (point, point) + tail)))
-        ball_space = phi.base.levels[phi.level]
-        values = phi.quotient_map.mapping
-        lifted = {b: (low if values[b] == point else values[b]) for b in ball_space.points}
-        split_obj = SliceObject(
-            base=phi.base,
-            level=phi.level,
-            target=split_space,
-            quotient_map=PointMap(ball_space, split_space, lifted),
-        )
-        return FraisseTask(stage=stage, arrow=SliceArrow(split_obj, phi, collapse))
-
-    return f"split:{stage}:{point}", generate
+def split_task(phi: SliceObject, stage: int, point: str) -> FraisseTask:
+    """The task splitting one target point of stage `stage`, whose slice
+    object is `phi`, into two copies."""
+    if point not in phi.target:
+        raise ValueError(f"{point!r} is not a point of stage {stage}")
+    low, high = f"{point}<0", f"{point}<1"
+    if low in phi.target or high in phi.target:
+        raise ValueError(f"split labels for {point!r} collide with existing points")
+    i = phi.target.index(point)
+    head, tail = phi.target.points[:i], phi.target.points[i + 1:]
+    points = head + (low, high) + tail
+    split_space = FiniteSpace(id=f"{phi.target.id}|split({point})", points=points)
+    collapse = Surjection(split_space, phi.target, dict(zip(points, head + (point, point) + tail)))
+    ball_space = phi.base.levels[phi.level]
+    values = phi.quotient_map.mapping
+    lifted = {b: (low if values[b] == point else values[b]) for b in ball_space.points}
+    split_obj = SliceObject(
+        base=phi.base,
+        level=phi.level,
+        target=split_space,
+        quotient_map=PointMap(ball_space, split_space, lifted),
+    )
+    return FraisseTask(stage=stage, arrow=SliceArrow(split_obj, phi, collapse))
 
 
 class TaskWitness(Record):
@@ -285,67 +275,47 @@ def build_fraisse(
     tree: BallTree,
     depth: int,
     schedule: PaddingSchedule,
-    tasks: TaskSchedule = TaskSchedule(),
+    splits: Sequence[tuple[int, str]] = (),
 ) -> BuildResult:
-    """Build a sliced sequence of padded objects absorbing every scheduled task.
+    """Build a sliced sequence of padded objects absorbing every scheduled split.
 
-    Stage t sits at ball level min(t, tree depth); each step amalgamates the
-    pending eligible tasks into the current stage by pullback, then factors
-    the combined arrow through the next canonical surjection, whose pad index
-    is grown as needed.  Every absorbed task receives a witness
-    (beta, g) with bonding(stage, beta) = task arrow composed with g, exactly.
+    Stage t sits at ball level min(t, tree depth).  Round t makes the tasks
+    of the splits at stage t, in schedule order, amalgamates them into stage
+    t by pullback, then factors the combined arrow through the next canonical
+    surjection, whose pad index is grown as needed.  Every absorbed task
+    receives a witness (beta, g) with bonding(stage, beta) = task arrow
+    composed with g, exactly.
     """
     if depth < 1:
         raise DepthError("sequence depth must be at least 1")
-
-    def track(t: int) -> int:
-        return min(t, tree.depth)
+    tags = split_tags(splits)
 
     start = make_padded_object(tree, 0, schedule.min_index_for(len(tree.levels[0])), schedule)
     padded = [start]
     spaces = [start.object.target]
     steps: list[Surjection] = []
     phis = [start.object]
-    waiting = list(tasks.entries)
-    pending: list[tuple[str, FraisseTask]] = []
+    tasks: list[tuple[str, FraisseTask]] = []
     witnesses: dict[str, TaskWitness] = {}
-    materialized: list[tuple[str, FraisseTask]] = []
     log: list[str] = []
 
     for t in range(depth):
-        current = SlicedSequence(InverseSequence(tuple(spaces), tuple(steps)), tuple(phis))
-        still_waiting = []
-        for tag, generate in waiting:
-            task = generate(current)
-            if task is None:
-                still_waiting.append((tag, generate))
-                continue
-            if task.stage > current.seq.length:
-                raise ValueError(f"task {tag!r} targets unbuilt stage {task.stage}")
-            if task.arrow.dst != phis[task.stage]:
-                raise ValueError(f"task {tag!r} does not land in stage {task.stage}")
-            pending.append((tag, task))
-            materialized.append((tag, task))
-        waiting = still_waiting
-
-        beta = track(t + 1)
+        beta = min(t + 1, tree.depth)
         combined = phis[t]
         into_q: PointMap = identity(combined.target)
         # per absorbed task: (tag, task, to_prev, to_task) out of its amalgamation
         absorbed: list[tuple[str, FraisseTask, SliceArrow, SliceArrow]] = []
-        deferred: list[tuple[str, FraisseTask]] = []
-        for tag, task in pending:
-            if task.arrow.src.level > beta:
-                deferred.append((tag, task))
+        for tag, (stage, point) in zip(tags, splits):
+            if stage != t:
                 continue
-            bond = current.seq.bonding(task.stage, t)
-            cospan = SliceArrow(combined, phis[task.stage], compose(bond, into_q))
+            task = split_task(phis[t], t, point)
+            # the task lands in stage t itself, so the cospan's second leg needs no bonding
+            cospan = SliceArrow(combined, phis[t], into_q)
             combined, to_prev, to_task = amalgamate_slice(
-                combined, task.arrow.src, phis[task.stage], cospan, task.arrow
+                combined, task.arrow.src, phis[t], cospan, task.arrow
             )
             into_q = compose(into_q, to_prev.q)
             absorbed.append((tag, task, to_prev, to_task))
-        pending = deferred
         into = SliceArrow(combined, phis[t], into_q)
 
         floor = max(
@@ -370,18 +340,19 @@ def build_fraisse(
         log.append(stage_log_line(t + 1, next_padded.object.target))
         for tag, task, _, _ in absorbed:
             witness_q = witness_qs[tag]
-            witnesses[tag] = TaskWitness(tag=tag, stage=task.stage, beta=t + 1, mapping=witness_q)
-            log.append(task_log_line(tag, task.stage, t + 1, witness_q.mapping))
+            tasks.append((tag, task))
+            witnesses[tag] = TaskWitness(tag=tag, stage=t, beta=t + 1, mapping=witness_q)
+            log.append(task_log_line(tag, t, t + 1, witness_q.mapping))
 
-    if pending or waiting:
-        left = [tag for tag, _ in pending] + [tag for tag, _ in waiting]
+    left = [tag for tag, (stage, _) in zip(tags, splits) if stage >= depth]
+    if left:
         raise DepthError(f"schedule exhausted the build: unserviced tasks {left}")
 
     sequence = SlicedSequence(InverseSequence(tuple(spaces), tuple(steps)), tuple(phis))
     return BuildResult(
         sequence=sequence,
         padded=tuple(padded),
-        tasks=tuple(materialized),
+        tasks=tuple(tasks),
         witnesses=witnesses,
         log=tuple(log),
     )

@@ -26,7 +26,7 @@ from .balltree import (
     nearest_points,
     u_metric,
 )
-from .engine import BuildResult, PaddingSchedule, TaskSchedule, build_fraisse
+from .engine import BuildResult, PaddingSchedule, build_fraisse
 from .errors import DepthError, InputError
 from .sequences import SequenceArrow, SlicedSequence
 from .slices import SliceObject
@@ -86,7 +86,7 @@ def embed_generic(
     tree: BallTree,
     depth: int,
     schedule: PaddingSchedule,
-    tasks: TaskSchedule = TaskSchedule(),
+    splits: Sequence[tuple[int, str]] = (),
 ) -> GenericPresentation:
     """Embed `tree` into the limit of a freshly built sequence of padded spaces.
 
@@ -97,7 +97,7 @@ def embed_generic(
     """
     if depth < tree.depth:
         raise DepthError(f"depth {depth} cannot separate a tree of depth {tree.depth}")
-    build = build_fraisse(tree, depth, schedule, tasks)
+    build = build_fraisse(tree, depth, schedule, splits)
     ambient = from_sequence(build.sequence.seq)
     pres = GenericPresentation(
         space=tree,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from ultrafraisse.balltree import BallTree, NowhereDenseWitness, met_balls, u_metric
+from ultrafraisse.balltree import BallTree, NowhereDenseWitness, u_metric
 from ultrafraisse.engine import PaddingSchedule, make_padded_object, pad_routes
 from ultrafraisse.sequences import InverseSequence, Report, check_coherent
 from ultrafraisse.slices import SliceArrow, SliceObject
@@ -136,7 +136,7 @@ def nowhere_dense_to_uniform(
     is the maximum of the per-ball levels; each witness ball is deepened to
     that level by taking its least descendant, which still avoids the subset.
     """
-    met = met_balls(tree, subset)
+    avoid = frozenset(subset)
     target_levels = []
     choices = []
     for alpha in range(tree.depth):
@@ -150,14 +150,14 @@ def nowhere_dense_to_uniform(
                 raise ValueError(f"ball ({alpha}, {label!r}): level {beta_v} not below {label!r}")
             if picked not in tree.levels[beta_v] or tree.ancestor(beta_v, picked, alpha) != label:
                 raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} not inside it")
-            if picked in met[beta_v]:
+            if tree.leafset(beta_v, picked) & avoid:
                 raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} meets the subset")
             entries[label] = (beta_v, picked)
         beta = max(b for b, _ in entries.values())
         deepened = {}
         for label, (beta_v, picked) in entries.items():
             deepened[label] = tree.descendants(beta_v, picked, beta)[0]
-            if deepened[label] in met[beta]:
+            if tree.leafset(beta, deepened[label]) & avoid:
                 raise AssertionError(f"descendant {deepened[label]!r} of a free ball meets the subset")
         target_levels.append(beta)
         choices.append(deepened)

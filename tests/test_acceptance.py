@@ -22,7 +22,7 @@ from ultrafraisse.balltree import (
     validate_witness,
 )
 from ultrafraisse.cli import main
-from ultrafraisse.engine import TaskSchedule, point_split_task, verify_fraisse
+from ultrafraisse.engine import verify_fraisse
 from ultrafraisse.errors import InputError
 from ultrafraisse.fixtures import binary_tree, k4
 from ultrafraisse.generic import (
@@ -155,22 +155,19 @@ def test_acceptance_03_amalgamation_suite():
     report(3, "100 random cospans amalgamate; pullback universal property verified")
 
 
-def _splitting_schedule():
-    specs = [
-        (0, "p0"), (0, "p1"),
-        (1, "0"), (1, "1"), (1, "p0"), (1, "p1"), (1, "p2"), (1, "p3"),
-        (2, "00"), (2, "01"), (2, "p0"), (2, "p1"),
-    ]
-    return TaskSchedule(tuple(point_split_task(stage, point) for stage, point in specs))
+SPLITS = (
+    (0, "p0"), (0, "p1"),
+    (1, "0"), (1, "1"), (1, "p0"), (1, "p1"), (1, "p2"), (1, "p3"),
+    (2, "00"), (2, "01"), (2, "p0"), (2, "p1"),
+)
 
 
 def test_acceptance_04_fraisse_absorption():
     tree = k4()
-    schedule = _splitting_schedule()
-    assert len(schedule.entries) >= 10
-    build = build_fraisse(tree, 4, SCHEDULE, schedule)
+    assert len(SPLITS) >= 10
+    build = build_fraisse(tree, 4, SCHEDULE, SPLITS)
     tasks = [t for _, t in build.tasks]
-    assert len(tasks) == len(schedule.entries)
+    assert len(tasks) == len(SPLITS)
     outcome = verify_fraisse(build.sequence, tasks)
     for result in outcome.tasks:
         assert result.status == "witnessed", result.detail
@@ -300,8 +297,8 @@ def test_acceptance_07_homeomorphism_extension():
     emb = thread_embedding(deep)
     assert auto.apply(emb["0000"]) == emb["1111"]
 
-    a = embed_generic(k4(), 4, SCHEDULE, TaskSchedule((point_split_task(1, "p0"),)))
-    b = embed_generic(k4(), 4, SCHEDULE, TaskSchedule((point_split_task(1, "p1"),)))
+    a = embed_generic(k4(), 4, SCHEDULE, ((1, "p0"),))
+    b = embed_generic(k4(), 4, SCHEDULE, ((1, "p1"),))
     ident = PartialHomeo(a, b, {x: x for x in k4().points})
     _assert_automap_contract(extend_homeo(ident), ident)
     report(7, "swap fixtures extend; independent builds joined by the identity")

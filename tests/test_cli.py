@@ -383,6 +383,47 @@ def test_split_of_unknown_point_exits_4(k4_path):
     assert run("embed", k4_path, "--split", "1:zz") == 4
 
 
+@pytest.mark.parametrize(
+    "options, code, message",
+    [
+        # a negative stage is rejected before it can index the stages from the end
+        (["--split=-1:p0"], 4, "stage must be nonnegative"),
+        (["--split", "1:p0", "--split", "1:p0"], 4, "task tags must be distinct"),
+        (["--depth", "4", "--split", "9:p0"], 3, "unserviced tasks ['split:9:p0']"),
+        # a bad point at a built stage is reported before the unserviced stage
+        (["--split=2:zz", "--split=9:p0"], 4, "'zz' is not a point of stage 2"),
+    ],
+    ids=["negative-stage", "repeated-split", "stage-past-depth", "bad-point-first"],
+)
+def test_split_edge_cases(k4_path, options, code, message, capsys):
+    assert run("embed", k4_path, *options) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+def test_out_in_a_missing_directory_is_a_parse_error(tmp_path, k4_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run("embed", k4_path, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_that_is_a_directory_is_a_parse_error(tmp_path, k4_path, capsys):
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert run("embed", k4_path, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}: ")
+    assert list(out.iterdir()) == []
+
+
+def test_demo_out_that_is_a_file_is_a_parse_error(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("kept\n")
+    assert run("demo", "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}: ")
+    assert out.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [out]
+
+
 ABSORPTION = "absorption witness"
 STATED_LISTS = "tasks and probes are those params and space determine"
 

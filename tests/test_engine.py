@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from ultrafraisse import engine
 from ultrafraisse.engine import (
-    FraisseTask,
     PaddingSchedule,
-    TaskSchedule,
     build_fraisse,
     dominate_arrow,
     make_padded_object,
     pad_routes,
-    point_split_task,
+    split_task,
     verify_fraisse,
 )
 from ultrafraisse.errors import DepthError
@@ -258,24 +256,8 @@ def test_build_pure_spine(tree_k4, schedule):
         assert build.sequence.seq.steps[t] == canonical.q
 
 
-def test_build_identity_task(tree_k4, schedule):
-    def identity_task(current):
-        if current.seq.length < 1:
-            return None
-        return FraisseTask(stage=1, arrow=identity_arrow(current.phis[1]))
-
-    build = build_fraisse(tree_k4, 3, schedule, TaskSchedule((("id@1", identity_task),)))
-    witness = build.witnesses["id@1"]
-    assert witness.beta == 2
-    assert compose(identity_arrow(build.sequence.phis[1]).q, witness.mapping) == (
-        build.sequence.seq.bonding(1, 2)
-    )
-    # identity task costs nothing: same sizes as the pure spine
-    assert [len(sp) for sp in build.sequence.seq.spaces] == [3, 6, 12, 20]
-
-
 def test_build_pad_split_task(tree_k4, schedule):
-    build = build_fraisse(tree_k4, 4, schedule, TaskSchedule((point_split_task(1, "p0"),)))
+    build = build_fraisse(tree_k4, 4, schedule, ((1, "p0"),))
     tag = "split:1:p0"
     witness = build.witnesses[tag]
     task = dict(build.tasks)[tag]
@@ -287,7 +269,7 @@ def test_build_pad_split_task(tree_k4, schedule):
 
 
 def test_build_ball_split_task(tree_k4, schedule):
-    build = build_fraisse(tree_k4, 4, schedule, TaskSchedule((point_split_task(1, "0"),)))
+    build = build_fraisse(tree_k4, 4, schedule, ((1, "0"),))
     witness = build.witnesses["split:1:0"]
     task = dict(build.tasks)[witness.tag]
     assert compose(task.arrow.q, witness.mapping) == build.sequence.seq.bonding(1, witness.beta)
@@ -295,11 +277,11 @@ def test_build_ball_split_task(tree_k4, schedule):
 
 def test_build_reports_unserviceable_schedule(tree_k4, schedule):
     with pytest.raises(DepthError, match="unserviced"):
-        build_fraisse(tree_k4, 2, schedule, TaskSchedule((point_split_task(2, "p0"),)))
+        build_fraisse(tree_k4, 2, schedule, ((2, "p0"),))
 
 
 def test_build_is_deterministic(tree_k4, schedule):
-    sched = TaskSchedule((point_split_task(1, "p0"), point_split_task(0, "p1")))
+    sched = ((1, "p0"), (0, "p1"))
     b1 = build_fraisse(tree_k4, 4, schedule, sched)
     b2 = build_fraisse(tree_k4, 4, schedule, sched)
     assert b1.sequence == b2.sequence
@@ -310,7 +292,7 @@ def test_build_is_deterministic(tree_k4, schedule):
 
 
 def test_build_growth_is_monotone(tree_k4, schedule):
-    build = build_fraisse(tree_k4, 4, schedule, TaskSchedule((point_split_task(1, "p0"),)))
+    build = build_fraisse(tree_k4, 4, schedule, ((1, "p0"),))
     sizes = [len(sp) for sp in build.sequence.seq.spaces]
     assert sizes == sorted(sizes)
     for t, padded in enumerate(build.padded):
@@ -336,9 +318,7 @@ def test_verify_constant_probe_at_stage_zero(tree_k4, schedule):
 
 
 def test_verify_certifies_own_build(tree_k4, schedule):
-    sched = TaskSchedule(
-        (point_split_task(1, "p0"), point_split_task(1, "0"), point_split_task(2, "p1"))
-    )
+    sched = ((1, "p0"), (1, "0"), (2, "p1"))
     build = build_fraisse(tree_k4, 4, schedule, sched)
     report = verify_fraisse(build.sequence, [t for _, t in build.tasks], [constant_probe(tree_k4)])
     assert report.ok
@@ -351,7 +331,7 @@ def test_verify_certifies_own_build(tree_k4, schedule):
 
 
 def test_verify_rejects_corrupted_bonding(tree_k4, schedule):
-    sched = TaskSchedule((point_split_task(1, "p0"),))
+    sched = ((1, "p0"),)
     build = build_fraisse(tree_k4, 4, schedule, sched)
     task = dict(build.tasks)["split:1:p0"]
     seq = build.sequence.seq
@@ -377,7 +357,7 @@ def test_build_over_deeper_base(schedule):
     from ultrafraisse.fixtures import binary_tree
 
     tree = binary_tree(3)
-    sched = TaskSchedule((point_split_task(2, "p0"), point_split_task(3, "000")))
+    sched = ((2, "p0"), (3, "000"))
     build = build_fraisse(tree, 5, schedule, sched)
     assert [p.ball_level for p in build.padded] == [0, 1, 2, 3, 3, 3]
     assert check_coherent(build.sequence.seq).ok
@@ -388,8 +368,7 @@ def test_build_over_deeper_base(schedule):
 def test_verify_finds_no_witness_for_foreign_task(tree_k4, schedule):
     # a task never absorbed by a too-short build still gets searched honestly
     build = build_fraisse(tree_k4, 2, schedule)
-    tag, gen = point_split_task(1, "p0")
-    task = gen(build.sequence)
+    task = split_task(build.sequence.phis[1], 1, "p0")
     report = verify_fraisse(build.sequence, [task])
     # the split point doubles a fiber the short spine cannot cover
     assert report.tasks[0].status == "failed"
@@ -536,9 +515,8 @@ def test_dominate_arrow_matches_pad_block_oracle(seed, schedule, extra, data):
         return out
 
     real = engine.dominate_arrow
-    tasks = TaskSchedule(tuple(point_split_task(s, p) for s, p in picked))
     with mock.patch.object(engine, "dominate_arrow", spy):
-        build = build_fraisse(tree, depth, schedule, tasks)
+        build = build_fraisse(tree, depth, schedule, picked)
     assert len(calls) == depth
     # and each task arrow on its own, at the default ball level and floor
     for _, task in build.tasks:

@@ -6,7 +6,7 @@ from ultrafraisse.balltree import (
     is_uniformly_nowhere_dense,
     validate_witness,
 )
-from ultrafraisse.engine import PaddingSchedule, TaskSchedule, point_split_task, verify_fraisse
+from ultrafraisse.engine import PaddingSchedule, verify_fraisse
 from ultrafraisse.errors import DepthError, InputError
 from ultrafraisse.fixtures import binary_tree
 from ultrafraisse.generic import (
@@ -245,8 +245,8 @@ def test_extend_rejects_ball_breaking_map(tree_b3):
 
 
 def test_extend_connects_independent_builds(tree_k4, schedule):
-    a = embed_generic(tree_k4, 4, schedule, TaskSchedule((point_split_task(1, "p0"),)))
-    b = embed_generic(tree_k4, 4, schedule, TaskSchedule((point_split_task(1, "p1"),)))
+    a = embed_generic(tree_k4, 4, schedule, ((1, "p0"),))
+    b = embed_generic(tree_k4, 4, schedule, ((1, "p1"),))
     auto = extend_homeo(PartialHomeo(a, b, {x: x for x in tree_k4.points}))
     for x in tree_k4.points:
         assert auto.apply(a.eta[x]) == b.eta[x]

@@ -23,9 +23,8 @@ from ultrafraisse.balltree import (
 from ultrafraisse.cli import _canonical_probes
 from ultrafraisse.engine import (
     PaddingSchedule,
-    TaskSchedule,
     build_fraisse,
-    point_split_task,
+    split_task,
     verify_fraisse,
 )
 from ultrafraisse.errors import InputError
@@ -43,7 +42,7 @@ from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_cohere
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
 
-from oracles import ancestor, nowhere_dense_to_uniform, random_tree
+from oracles import ancestor, random_tree
 
 
 def shuffled_rebuild(seed: int, **sizes):
@@ -282,35 +281,6 @@ def ref_validate_witness(tree, subset, witness):
     return tuple(issues)
 
 
-def ref_nowhere_dense_to_uniform(tree, subset, per_ball):
-    avoid = frozenset(subset)
-    target_levels = []
-    choices = []
-    for alpha in range(tree.depth):
-        entries = {}
-        for label in tree.levels[alpha].points:
-            got = per_ball.get((alpha, label))
-            if got is None:
-                raise ValueError(f"per_ball data missing for ball ({alpha}, {label!r})")
-            beta_v, picked = got
-            if not alpha < beta_v <= tree.depth:
-                raise ValueError(f"ball ({alpha}, {label!r}): level {beta_v} not below {label!r}")
-            if picked not in tree.levels[beta_v] or tree.ancestor(beta_v, picked, alpha) != label:
-                raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} not inside it")
-            if tree.leafset(beta_v, picked) & avoid:
-                raise ValueError(f"ball ({alpha}, {label!r}): witness {picked!r} meets the subset")
-            entries[label] = (beta_v, picked)
-        beta = max(b for b, _ in entries.values())
-        deepened = {}
-        for label, (beta_v, picked) in entries.items():
-            descendants = tree.descendants(beta_v, picked, beta)
-            deepened[label] = descendants[0]
-            assert not (tree.leafset(beta, descendants[0]) & avoid)
-        target_levels.append(beta)
-        choices.append(deepened)
-    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
-
-
 def ref_factoring_level(tree, point_map):
     missing = [p for p in tree.points if p not in point_map]
     if missing:
@@ -406,29 +376,6 @@ def test_validate_witness_matches_leafset_check(case):
         witness = random_witness(tree, subset, rng)
         got = validate_witness(tree, subset + ["foreign"], witness).issues
         assert got == ref_validate_witness(tree, subset + ["foreign"], witness)
-
-
-@settings(max_examples=150, deadline=None)
-@given(tree_and_subset())
-def test_nowhere_dense_to_uniform_matches_leafset_version(case):
-    tree, subset, rng = case
-    rate = rng.choice([0.0, 0.01, 0.1])
-    per_ball = {}
-    for alpha in range(tree.depth):
-        for label in tree.levels[alpha].points:
-            beta = rng.randint(alpha + 1, tree.depth)
-            below = tree.descendants(alpha, label, beta)
-            free = [b for b in below if not (tree.leafset(beta, b) & frozenset(subset))]
-            roll = rng.random() / rate if rate else 1.0
-            if roll >= 1.0 and free:
-                per_ball[alpha, label] = (beta, rng.choice(free))
-            elif roll < 0.5:
-                per_ball[alpha, label] = (beta, rng.choice(tree.levels[beta].points))
-            elif roll < 0.7:
-                per_ball[alpha, label] = (rng.choice([alpha, tree.depth + 1]), below[0])
-    assert outcome(nowhere_dense_to_uniform, tree, subset, per_ball) == outcome(
-        ref_nowhere_dense_to_uniform, tree, subset, per_ball
-    )
 
 
 def random_point_map(tree, rng):
@@ -628,7 +575,7 @@ def test_bonding_matches_a_fresh_fold(data):
 
 def test_bonding_of_parsed_certificate_steps():
     schedule = PaddingSchedule()
-    build = build_fraisse(k4(), 5, schedule, TaskSchedule((point_split_task(1, "p0"),)))
+    build = build_fraisse(k4(), 5, schedule, ((1, "p0"),))
     spaces_, steps, _ = serial.sliced_parts_from_json(serial.sliced_to_json(build.sequence), k4())
     assert all(type(step) is PointMap for step in steps)
     for seq in (InverseSequence(spaces_, steps), build.sequence.seq):
@@ -652,7 +599,7 @@ def build_counts(monkeypatch, k: int) -> tuple[int, int]:
     monkeypatch.setattr(engine, "compose", counting_compose)
     points = ("0", "1", "p0", "p1", "p2", "p3")[:k]
     build = build_fraisse(
-        k4(), 2, PaddingSchedule(), TaskSchedule(tuple(point_split_task(1, p) for p in points))
+        k4(), 2, PaddingSchedule(), [(1, p) for p in points]
     )
     monkeypatch.undo()
     assert len(build.witnesses) == k
@@ -667,6 +614,29 @@ def test_one_stage_absorbing_k_tasks_does_linear_work(monkeypatch):
         assert len(steps) == 1, column  # the same work per extra task, not growing with k
     arrows_per_task, composes_per_task = (counts[1][i] - counts[0][i] for i in range(2))
     assert arrows_per_task <= 5 and composes_per_task <= 4
+
+
+def test_build_checks_each_step_once(monkeypatch):
+    from ultrafraisse import sequences
+
+    sliced_checks, step_checks = [], []
+    post_init, carries = SlicedSequence.__post_init__, sequences._carries
+
+    def counting_post_init(self):
+        sliced_checks.append(1)
+        post_init(self)
+
+    def counting_carries(*args):
+        step_checks.append(1)
+        return carries(*args)
+
+    monkeypatch.setattr(SlicedSequence, "__post_init__", counting_post_init)
+    monkeypatch.setattr(sequences, "_carries", counting_carries)
+    build = build_fraisse(binary_tree(3), 8, PaddingSchedule(), [(1, "p0"), (2, "00")])
+    monkeypatch.undo()
+    assert len(build.witnesses) == 2
+    # the one sequence the build returns, each of its 8 steps checked once
+    assert (len(sliced_checks), len(step_checks)) == (1, 8)
 
 
 def recursive_saturate(needed, free, candidates):
@@ -815,14 +785,14 @@ def fraisse_case(tree, rng):
     """A build over `tree` absorbing one split, and split tasks into random
     stages of it, some of which no stage absorbs."""
     build = build_fraisse(
-        tree, tree.depth + 1, PaddingSchedule(), TaskSchedule((point_split_task(1, "p0"),))
+        tree, tree.depth + 1, PaddingSchedule(), ((1, "p0"),)
     )
     sliced = build.sequence
     tasks = [task for _, task in build.tasks]
     for _ in range(3):
         stage = rng.randint(0, sliced.seq.length)
         point = rng.choice(sliced.seq.spaces[stage].points)
-        tasks.append(point_split_task(stage, point)[1](sliced))
+        tasks.append(split_task(sliced.phis[stage], stage, point))
     return sliced, tasks
 
 

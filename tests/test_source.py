@@ -1,4 +1,4 @@
-"""Properties of the package source itself."""
+"""Properties of the package source itself, and of the README's code."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import ultrafraisse
 
 PACKAGE = Path(ultrafraisse.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -99,3 +100,10 @@ def test_every_function_has_a_caller_in_the_package():
         and not any(n == d.name and not (f == file and d.lineno <= line <= d.end_lineno) for f, n, line in reads)
     }
     assert uncalled == set(_UNCALLED)
+
+
+def test_readme_quick_start_runs():
+    """The README's library quick start runs as written."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
