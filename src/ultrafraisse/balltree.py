@@ -31,13 +31,6 @@ class BallTree(Record):
         for a, par in enumerate(self.parents):
             if par.dom != self.levels[a + 1] or par.cod != self.levels[a]:
                 raise ValueError(f"parent map {a} does not map level {a + 1} onto level {a}")
-        # ancestor chains: _chains[level][ball] = (ancestor at 0, ..., ball)
-        # in level order, read off each parent map's table
-        chains: list[dict[str, tuple[str, ...]]] = [{b: (b,) for b in self.levels[0].points}]
-        for a, par in enumerate(self.parents):
-            up, parent = chains[a], par.mapping
-            chains.append({b: up[parent[b]] + (b,) for b in self.levels[a + 1].points})
-        object.__setattr__(self, "_chains", tuple(chains))
         # the number of levels below the root, read on every hot path
         object.__setattr__(self, "depth", len(self.levels) - 1)
 
@@ -49,10 +42,22 @@ class BallTree(Record):
         """The level-alpha ball containing the given level-`level` ball."""
         if not 0 <= alpha <= level <= self.depth:
             raise ValueError(f"bad ancestor request ({level}, {alpha})")
-        chain = self._chains[level].get(label)
-        if chain is None:
+        if label not in self.levels[level]:
             raise ValueError(f"{label!r} is not a ball at level {level}")
-        return chain[alpha]
+        for a in range(level - 1, alpha - 1, -1):
+            label = self.parents[a].mapping[label]
+        return label
+
+    def above(self, level: int, alpha: int) -> dict[str, str]:
+        """Each level-`level` ball's level-alpha ancestor, in level order,
+        composed down from level alpha: it reads levels alpha+1..level once."""
+        if not 0 <= alpha <= level <= self.depth:
+            raise ValueError(f"bad ancestor request ({level}, {alpha})")
+        column = {b: b for b in self.levels[alpha].points}
+        for a in range(alpha, level):
+            parent = self.parents[a].mapping
+            column = {b: column[parent[b]] for b in self.levels[a + 1].points}
+        return column
 
     def children(self, level: int, label: str) -> tuple[str, ...]:
         """Balls at level+1 directly inside the given ball, in canonical order."""
@@ -66,7 +71,7 @@ class BallTree(Record):
         """Balls at level `beta` >= `level` contained in the given ball, in level order."""
         if not 0 <= level <= beta <= self.depth:
             raise ValueError(f"bad descendant request ({level}, {beta})")
-        return tuple(b for b, chain in self._chains[beta].items() if chain[level] == label)
+        return tuple(b for b, up in self.above(beta, level).items() if up == label)
 
     def leafset(self, level: int, label: str) -> frozenset[str]:
         return frozenset(self.descendants(level, label, self.depth))
@@ -78,13 +83,11 @@ def u_metric(tree: BallTree, a: str, b: str) -> int:
         raise ValueError(f"unknown point {a!r}")
     if b not in tree.levels[-1]:
         raise ValueError(f"unknown point {b!r}")
-    chain_a = tree._chains[tree.depth][a]
-    chain_b = tree._chains[tree.depth][b]
-    meet = 0
-    for level in range(tree.depth + 1):
-        if chain_a[level] != chain_b[level]:
-            break
-        meet = level
+    meet = tree.depth
+    while a != b:
+        meet -= 1
+        parent = tree.parents[meet].mapping
+        a, b = parent[a], parent[b]
     return meet
 
 
@@ -141,24 +144,25 @@ def nearest_points(tree: BallTree, anchors: Sequence[str]) -> dict[str, str]:
     """For each point of the tree, the anchor point sharing its deepest ball.
 
     Ties go to the first anchor in `anchors` order, as the largest key
-    (u_metric, -position) would pick them.  Each ball's first anchor is
-    recorded once, and each point walks its own chain up from the leaf to
-    the first ball holding an anchor (the root holds them all), so the cost
-    is O((points + anchors) x depth).
+    (u_metric, -position) would pick them.  Each anchor walks up the parent
+    maps, marking the balls it is first in, until it meets a marked ball;
+    one pass down the levels then gives each ball its own first anchor or
+    its parent's (the root holds them all), in O(balls + anchors x depth).
     """
-    chains = tree._chains[-1]
     first: list[dict[str, str]] = [{} for _ in tree.levels]
     for anchor in anchors:
-        for level, label in enumerate(chains[anchor]):
-            first[level].setdefault(label, anchor)
-    out = {}
-    for point in tree.points:
-        chain = chains[point]
-        level = tree.depth
-        while chain[level] not in first[level]:
-            level -= 1
-        out[point] = first[level][chain[level]]
-    return out
+        label = anchor
+        for level in range(tree.depth, -1, -1):
+            if label in first[level]:
+                break
+            first[level][label] = anchor
+            if level:
+                label = tree.parents[level - 1].mapping[label]
+    nearest = first[0]
+    for level in range(1, tree.depth + 1):
+        here, parent = first[level], tree.parents[level - 1].mapping
+        nearest = {b: here[b] if b in here else nearest[parent[b]] for b in tree.levels[level]}
+    return nearest
 
 
 def met_balls(tree: BallTree, subset: Iterable[str]) -> tuple[frozenset[str], ...]:
@@ -167,11 +171,11 @@ def met_balls(tree: BallTree, subset: Iterable[str]) -> tuple[frozenset[str], ..
     A ball avoids the subset exactly when it is not in its level's set.
     Subset points that are not points of the tree are ignored.
     """
-    chains = tree._chains[-1]
-    rows = [chains[p] for p in subset if p in chains]
-    if not rows:
-        return tuple(frozenset() for _ in tree.levels)
-    return tuple(map(frozenset, zip(*rows)))
+    points = tree.levels[-1]._positions
+    met = [frozenset(p for p in subset if p in points)]
+    for parent in reversed(tree.parents):
+        met.append(frozenset(map(parent.mapping.__getitem__, met[-1])))
+    return tuple(reversed(met))
 
 
 def is_uniformly_nowhere_dense(
@@ -210,20 +214,28 @@ def is_uniformly_nowhere_dense(
                     here[parent] = got
         first[level] = here
     target_levels = []
-    choices = []
     for alpha in range(tree.depth):
         beta = max(alpha + 1, max(first[alpha].values(), default=0))
         if beta == never:
             worst = next(b for b in tree.levels[alpha].points if first[alpha].get(b) == never)
             return NowhereDenseFailure(level=alpha, ball=worst)
         target_levels.append(beta)
-        taken = met[beta]
-        picked: dict[str, str] = {}
-        for b, chain in tree._chains[beta].items():
+    # deepest level first, so that while the target level repeats (it never falls
+    # as alpha grows) each column of ancestors is the one below read up one level
+    choices = []
+    for alpha in range(tree.depth - 1, -1, -1):
+        beta = target_levels[alpha]
+        if alpha + 1 == beta:
+            ups = tree.levels[beta].points
+        elif target_levels[alpha + 1] != beta:
+            ups = tree.above(beta, alpha + 1).values()
+        ups = tuple(map(tree.parents[alpha].mapping.__getitem__, ups))
+        taken, picked = met[beta], {}
+        for b, up in zip(tree.levels[beta].points, ups):
             if b not in taken:
-                picked.setdefault(chain[alpha], b)
+                picked.setdefault(up, b)
         choices.append({label: picked[label] for label in tree.levels[alpha].points})
-    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
+    return NowhereDenseWitness(tuple(target_levels), tuple(reversed(choices)))
 
 
 def validate_witness(tree: BallTree, subset: Iterable[str], witness: NowhereDenseWitness) -> Report:
@@ -246,7 +258,7 @@ def validate_witness(tree: BallTree, subset: Iterable[str], witness: NowhereDens
             if picked not in tree.levels[beta]:
                 issues.append(f"level {alpha}: choice {picked!r} is not a level-{beta} ball")
                 continue
-            if tree._chains[beta][picked][alpha] != label:
+            if tree.ancestor(beta, picked, alpha) != label:
                 issues.append(f"level {alpha}: choice {picked!r} is not inside ball {label!r}")
             if picked in met[beta]:
                 issues.append(f"level {alpha}: choice {picked!r} meets the subset")
@@ -262,12 +274,12 @@ def factoring_level(tree: BallTree, point_map: Mapping[str, str]) -> int:
     missing = [p for p in tree.points if p not in point_map]
     if missing:
         raise ValueError(f"map undefined at point {missing[0]!r}")
-    chains = tree._chains[-1]
-    for level in range(tree.depth + 1):
-        value_of: dict[str, str] = {}
-        if all(
-            value_of.setdefault(chain[level], point_map[p]) == point_map[p]
-            for p, chain in chains.items()
-        ):
-            return level
-    return tree.depth
+    # bottom up, until the first level whose balls' children disagree
+    values = point_map
+    for level in range(tree.depth - 1, -1, -1):
+        here: dict[str, str] = {}
+        for child, parent in tree.parents[level].mapping.items():
+            if here.setdefault(parent, values[child]) != values[child]:
+                return level + 1
+        values = here
+    return 0

@@ -45,7 +45,7 @@ from .generic import (
     extend_homeo,
     embed_generic,
     eta_threads,
-    lift_point_table,
+    lift_on_points,
     presentation_from_subset,
     retract_onto,
     retraction_table,
@@ -274,6 +274,8 @@ def _check(checks: list[Check], name: str, fn) -> bool:
     except (AssertionError, ValueError, KeyError) as exc:
         checks.append((name, "fail", str(exc) or repr(exc)))
         return False
+    except MemoryError:
+        raise  # a capacity limit of this run, not a verdict on the certificate
     except Exception as exc:
         # any other error inside a check is a failed check too, never a traceback
         checks.append((name, "fail", f"{type(exc).__name__}: {exc}"))
@@ -524,9 +526,8 @@ def _verify_retraction(sections: dict) -> list[Check]:
 
     def certified_levels():
         for m in range(space.depth + 1):
-            component = {
-                w: space.ancestor(space.depth, derived[w], m) for w in ambient.points
-            }
+            up = space.above(space.depth, m)
+            component = {w: up[derived[w]] for w in ambient.points}
             if factoring_level(ambient, component) != reindex[m]:
                 raise ValueError(f"component {m} does not factor first at level {reindex[m]}")
     _check(checks, "reindex levels are the exact factoring levels", certified_levels)
@@ -569,7 +570,7 @@ def _verify_lift(sections: dict) -> list[Check]:
 
     _check(checks, "lift square commutes", square)
 
-    _check(checks, "lift equations hold pointwise", lambda: lift_point_table(pres, f, b, g, beta, table))
+    _check(checks, "lift equations hold pointwise", lambda: lift_on_points(pres, f, b, g, beta, table))
 
     def families():
         seen: set[str] = set()
@@ -846,6 +847,9 @@ def main(argv: list[str] | None = None) -> int:
         # library-level contract violations triggered by user data
         print(f"input error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("depth/capacity error: out of memory", file=sys.stderr)
+        return 3
     except Exception as exc:
         # a fault of the program, kept apart from a verification failure (1)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -167,8 +167,8 @@ def dominate_arrow(
     routed: dict[str, list[str]] = {y: [] for y in need}
     for x, y in zip(padded.pad_labels, routes):
         routed[y].append(x)
-    mapping = {b: h.value_on_ball(beta, b) for b in padded.ball_labels}
-    h_image = set(h.point_table().values())
+    mapping = h.values(beta)
+    h_image = set(h.quotient_map.mapping.values())  # every ball holds a point
     fibers = arrow.q.fibers()
     for p in dst.pad_labels:
         fiber = fibers[p]
@@ -191,7 +191,7 @@ def dominate_arrow(
             mapping[x] = fresh[i % len(fresh)]
     g = SliceArrow(padded.object, h, Surjection(padded.object.target, h.target, mapping))
     # the canonical surjection onto dst: balls up their parent chains, pads along their routes
-    canonical = {b: tree.ancestor(beta, b, alpha) for b in padded.ball_labels}
+    canonical = tree.above(beta, alpha)
     canonical.update(zip(padded.pad_labels, routes))
     if compose(arrow.q, g.q).mapping != canonical:
         raise AssertionError("the factored arrow does not compose to the canonical surjection")
@@ -388,9 +388,7 @@ class FraisseReport(Record):
 def _forced_values(phi: SliceObject, probe: SliceObject) -> tuple[dict[str, str] | None, str]:
     """Values any commuting map must take on the image of phi, or a conflict."""
     forced: dict[str, str] = {}
-    for point in phi.base.points:
-        key = phi.point_value(point)
-        want = probe.point_value(point)
+    for (point, key), want in zip(phi.values(phi.base.depth).items(), probe.values(phi.base.depth).values()):
         if forced.setdefault(key, want) != want:
             return None, f"base point {point!r} forces {key!r} to both {forced[key]!r} and {want!r}"
     return forced, ""
@@ -516,15 +514,12 @@ def verify_fraisse(
             and len(probe.target) ** len(sliced.seq.spaces[0]) <= bound
         ):
             # cross-check emptiness at the smallest stage by enumeration
-            space = sliced.seq.spaces[0]
+            space, phi = sliced.seq.spaces[0], sliced.phis[0]
             for values in itertools.product(probe.target.points, repeat=len(space)):
                 q = dict(zip(space.points, values))
                 if set(q.values()) != set(probe.target.points):
                     continue
-                if all(
-                    q[sliced.phis[0].point_value(p)] == probe.point_value(p)
-                    for p in sliced.base.points
-                ):
+                if phi.discord(q, probe, max(phi.level, probe.level)) is None:
                     raise AssertionError("probe search missed a stage-0 witness")
         probe_results.append(outcome)
 

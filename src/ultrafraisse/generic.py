@@ -71,14 +71,14 @@ def eta_threads(sliced: SlicedSequence, ambient: BallTree) -> dict[str, tuple[st
     `sliced`: its slice-map values level by level, under the root that
     `from_sequence` prepends when the bottom space is not a singleton.
 
-    Each slice map's table is read once, down the base points' chains, as
-    `point_value` reads it."""
+    Each level's ancestors of the base points are one column, read up the parent maps."""
     root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
     points = sliced.base.points
-    rows = list(map(sliced.base._chains[-1].__getitem__, points))
-    columns = [
-        [phi.quotient_map.mapping[row[phi.level]] for row in rows] for phi in sliced.phis
-    ]
+    ups = [points]  # each point's ancestors, one level up per entry
+    for parent in reversed(sliced.base.parents):
+        ups.append(tuple(map(parent.mapping.__getitem__, ups[-1])))
+    ups.reverse()
+    columns = [map(phi.quotient_map.mapping.__getitem__, ups[phi.level]) for phi in sliced.phis]
     return {x: root + entries for x, entries in zip(points, zip(*columns))}
 
 
@@ -160,8 +160,9 @@ def presentation_from_subset(ambient: BallTree, subset: Sequence[str]) -> Generi
             f"inside ball {found.ball!r}"
         )
     eta = eta_threads(sliced, ambient)
-    chains = ambient._chains[-1]
-    if any(thread != chains[p] for p, thread in eta.items()):
+    # each thread ends at its point, and each entry is the parent of the next
+    parents = [parent.mapping for parent in ambient.parents]
+    if any(len(t) != len(ambient.levels) or (*map(dict.get, parents, t[1:]), p) != t for p, t in eta.items()):
         raise ValueError("eta must send each base point to its thread through the slice maps")
     pres = GenericPresentation(
         space=base,
@@ -178,15 +179,15 @@ class LiftResult(Record):
 
     beta: int
     ball_table: dict[str, str]
-    point_table: dict[str, str]
+    on_points: dict[str, str]
     avoid_families: dict[str, tuple[str, ...]]
     image_families: dict[str, tuple[str, ...]]
 
 
 def _ball_values(tree: BallTree, level: int, point_map: Mapping[str, str]) -> dict[str, str]:
     leaves: dict[str, list[str]] = {label: [] for label in tree.levels[level].points}
-    for p, chain in tree._chains[-1].items():
-        leaves[chain[level]].append(p)
+    for p, up in tree.above(tree.depth, level).items():
+        leaves[up].append(p)
     out = {}
     for label, points in leaves.items():
         values = {point_map[p] for p in points}
@@ -298,13 +299,13 @@ def lift_through_generic(
     return LiftResult(
         beta=beta,
         ball_table=ball_table,
-        point_table=lift_point_table(pres, f, b, g, beta, ball_table),
+        on_points=lift_on_points(pres, f, b, g, beta, ball_table),
         avoid_families={y: tuple(v) for y, v in avoid.items()},
         image_families={y: tuple(v) for y, v in image.items()},
     )
 
 
-def lift_point_table(
+def lift_on_points(
     pres: GenericPresentation,
     f: Surjection,
     b: Mapping[str, str],
@@ -322,16 +323,16 @@ def lift_point_table(
     ambient = pres.ambient
     if set(ball_table) != set(ambient.levels[beta].points):
         raise AssertionError("ball table does not cover the level")
-    point_table = {w: ball_table[chain[beta]] for w, chain in ambient._chains[-1].items()}
-    if set(point_table.values()) != set(f.dom.points):
+    on_points = {w: ball_table[up] for w, up in ambient.above(ambient.depth, beta).items()}
+    if set(on_points.values()) != set(f.dom.points):
         raise AssertionError("lift is not onto its source")
-    for w, y in point_table.items():
+    for w, y in on_points.items():
         if f(y) != g.get(w):
             raise AssertionError(f"first lift equation fails at {w!r}")
     for x in pres.space.points:
-        if point_table[pres.eta_point(x)] != b[x]:
+        if on_points[pres.eta_point(x)] != b[x]:
             raise AssertionError(f"second lift equation fails at base point {x!r}")
-    return point_table
+    return on_points
 
 
 def brute_force_lift_oracle(
@@ -392,14 +393,15 @@ class PartialHomeo(Record):
             raise InputError("mapping is not injective")
         src, dst = self.src.space, self.dst.space
         common = min(src.depth, dst.depth)
-        src_chains, dst_chains = src._chains[-1], dst._chains[-1]
-        rows = [(src_chains[x], dst_chains[y]) for x, y in self.mapping.items()]
+        src_up, dst_up = src.above(src.depth, common), dst.above(dst.depth, common)
+        pairs = {(src_up[x], dst_up[y]) for x, y in self.mapping.items()}
         # x, y share a level-a ball iff their images do, for every a <= common:
-        # the level-a balls then correspond one to one.
-        for a in range(1, common + 1):
-            pairs = {(s[a], d[a]) for s, d in rows}
+        # the level-a balls then correspond one to one, read up the parent maps.
+        for a in range(common, 0, -1):
             if len(pairs) != len({s for s, _ in pairs}) or len(pairs) != len({d for _, d in pairs}):
                 break
+            src_parent, dst_parent = src.parents[a - 1].mapping, dst.parents[a - 1].mapping
+            pairs = {(src_parent[s], dst_parent[d]) for s, d in pairs}
         else:
             return
         # name the first failing pair of the pairwise definition
@@ -532,7 +534,8 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
     reindex = []
     maps = []
     for m in range(base.depth + 1):
-        component = {w: base.ancestor(base.depth, nearest[w], m) for w in ambient.points}
+        up = base.above(base.depth, m)
+        component = {w: up[nearest[w]] for w in ambient.points}
         level = factoring_level(ambient, component)
         reindex.append(level)
         table = _ball_values(ambient, level, component)
@@ -560,4 +563,4 @@ def retraction_table(ambient: BallTree, arrow: SequenceArrow) -> dict[str, str]:
     a left inverse of the embedding.
     """
     top, level = arrow.maps[-1].mapping, arrow.reindex[-1]
-    return {w: top[chain[level]] for w, chain in ambient._chains[-1].items()}
+    return {w: top[up] for w, up in ambient.above(ambient.depth, level).items()}

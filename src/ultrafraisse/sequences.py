@@ -140,27 +140,14 @@ class SlicedSequence(Record):
                 raise ValueError(f"phis[{a}] is not over the base of phis[0]")
         for a, step in enumerate(self.seq.steps):
             upper, lower = self.phis[a + 1], self.phis[a]
-            if _carries(step.mapping, upper, lower, base._chains):
+            # both sides are constant on the balls of the deeper slice level
+            if upper.discord(step.mapping, lower, max(upper.level, lower.level)) is None:
                 continue
             # name the first offending base point
-            for point in base.points:
-                if step(upper.point_value(point)) != lower.point_value(point):
-                    raise ValueError(
-                        f"step {a} does not carry phis[{a + 1}] to phis[{a}] at base point {point!r}"
-                    )
+            point = upper.discord(step.mapping, lower, base.depth)[0]
+            raise ValueError(f"step {a} does not carry phis[{a + 1}] to phis[{a}] at base point {point!r}")
 
     @property
     def base(self):
         return self.phis[0].base
 
-
-def _carries(step: dict, upper, lower, chains) -> bool:
-    """Whether the step sends upper's value to lower's on every base point,
-    checked once per ball at the deeper of the two slice levels: both values
-    are constant on those balls, and every ball holds a point."""
-    up_at, low_at = upper.level, lower.level
-    up_map, low_map = upper.quotient_map.mapping, lower.quotient_map.mapping
-    return all(
-        step[up_map[chain[up_at]]] == low_map[chain[low_at]]
-        for chain in chains[max(up_at, low_at)].values()
-    )

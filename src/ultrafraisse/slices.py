@@ -29,20 +29,23 @@ class SliceObject(Record):
         if self.quotient_map.cod != self.target:
             raise ValueError("quotient_map must land in the target")
 
-    def value_on_ball(self, level: int, label: str) -> str:
-        """Value on any ball at a level >= the factoring level."""
+    def values(self, level: int) -> dict[str, str]:
+        """The value on each level-`level` ball, in level order, for a level
+        no coarser than the object's; at the base depth, on each base point."""
         if level < self.level:
             raise ValueError(f"balls at level {level} are too coarse for level {self.level}")
-        return self.quotient_map(self.base.ancestor(level, label, self.level))
+        value = self.quotient_map.mapping
+        return {b: value[up] for b, up in self.base.above(level, self.level).items()}
 
-    def point_value(self, point: str) -> str:
-        chain = self.base._chains[-1].get(point)
-        if chain is None:
-            raise ValueError(f"{point!r} is not a ball at level {self.base.depth}")
-        return self.quotient_map.mapping[chain[self.level]]
-
-    def point_table(self) -> dict[str, str]:
-        return {p: self.point_value(p) for p in self.base.points}
+    def discord(self, q: dict[str, str], other: SliceObject, level: int) -> tuple[str, str, str] | None:
+        """The first level-`level` ball, in level order, where q after this
+        object differs from `other`, as (ball, q's value, other's value);
+        None when they agree on every ball."""
+        mine, theirs = self.values(level), other.values(level)
+        got, want = list(map(q.__getitem__, mine.values())), list(theirs.values())
+        if got == want:
+            return None
+        return next(bad for bad in zip(mine, got, want) if bad[1] != bad[2])
 
 
 class SliceArrow(Record):
@@ -57,18 +60,10 @@ class SliceArrow(Record):
             raise ValueError("slice arrows need a common base")
         if self.q.dom != self.src.target or self.q.cod != self.dst.target:
             raise ValueError("arrow map must send src target onto dst target")
-        level = max(self.src.level, self.dst.level)
-        # each ball's ancestor chain gives both ends' values, as point_value reads them
-        q, src_at, dst_at = self.q.mapping, self.src.level, self.dst.level
-        src_map, dst_map = self.src.quotient_map.mapping, self.dst.quotient_map.mapping
-        for label, chain in self.src.base._chains[level].items():
-            got = q[src_map[chain[src_at]]]
-            want = dst_map[chain[dst_at]]
-            if got != want:
-                raise ValueError(
-                    f"arrow does not commute over the base: ball {label!r} "
-                    f"maps to {got!r}, expected {want!r}"
-                )
+        # both ends are constant on the balls of the deeper slice level
+        bad = self.src.discord(self.q.mapping, self.dst, max(self.src.level, self.dst.level))
+        if bad is not None:
+            raise ValueError("arrow does not commute over the base: ball {!r} maps to {!r}, expected {!r}".format(*bad))
 
 
 def amalgamate_slice(
@@ -90,10 +85,9 @@ def amalgamate_slice(
     level = max(f.level, g.level)
     base = f.base
     mapping = {}
-    for label in base.levels[level].points:
-        x = f.value_on_ball(level, label)
-        y = g.value_on_ball(level, label)
-        if q1.q(x) != q2.q(y):
+    left, right = q1.q.mapping, q2.q.mapping
+    for (label, x), y in zip(f.values(level).items(), g.values(level).values()):
+        if left[x] != right[y]:
             raise ValueError(f"cospan does not commute on ball {label!r}")
         mapping[label] = pair_label(x, y)
     k = SliceObject(

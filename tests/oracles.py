@@ -2,7 +2,8 @@
 
 No command runs these.  Each is a plain definition (the ultrametric laws,
 limit threads, leaf chains read up the parent maps, per-ball nowhere
-density made uniform, the canonical pad arrow) or a seeded example tree.
+density made uniform, the canonical pad arrow, slice values read one
+ancestor at a time) or a seeded example tree.
 They stay apart from the program they check, and simple enough to trust
 by reading (McConnell, Mehlhorn, Naeher and Schweitzer, "Certifying
 algorithms", 2011).
@@ -187,6 +188,19 @@ def dominating_arrow(
     mapping.update(zip(pads, pads if xi == delta else pad_routes(len(pads), dst)))
     q = Surjection(src.object.target, dst.object.target, mapping)
     return SliceArrow(src.object, dst.object, q)
+
+
+def value_on_ball(phi: SliceObject, level: int, label: str) -> str:
+    """A slice object's value on one ball at or below its factoring level,
+    read at the ball's ancestor on that level."""
+    if level < phi.level:
+        raise ValueError(f"balls at level {level} are too coarse for level {phi.level}")
+    return phi.quotient_map(phi.base.ancestor(level, label, phi.level))
+
+
+def point_value(phi: SliceObject, point: str) -> str:
+    """A slice object's value at one base point."""
+    return value_on_ball(phi, phi.base.depth, point)
 
 
 def identity_arrow(obj: SliceObject) -> SliceArrow:

@@ -40,7 +40,14 @@ from ultrafraisse.sequences import InverseSequence, SlicedSequence, apply_sequen
 from ultrafraisse.slices import SliceObject, amalgamate_slice
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
 
-from oracles import check_axioms, nowhere_dense_to_uniform, random_tree, thread_embedding
+from oracles import (
+    check_axioms,
+    nowhere_dense_to_uniform,
+    point_value,
+    random_tree,
+    thread_embedding,
+    value_on_ball,
+)
 
 
 SCHEDULE = PaddingSchedule()
@@ -97,7 +104,7 @@ def _random_cospan(tree, rng, max_size=5):
         q = Surjection(target, htarget, qmap)
         level = rng.randint(hlevel, tree.depth)
         vals = {
-            b: rng.choice(q.fiber(h.value_on_ball(level, b)))
+            b: rng.choice(q.fiber(value_on_ball(h, level, b)))
             for b in tree.levels[level].points
         }
         obj = SliceObject(
@@ -120,8 +127,8 @@ def test_acceptance_03_amalgamation_suite():
         for p in k_obj.target.points:
             assert q1.q(f1.q(p)) == q2.q(g1.q(p))
         for leaf in tree.points:
-            assert f1.q(k_obj.point_value(leaf)) == f.point_value(leaf)
-            assert g1.q(k_obj.point_value(leaf)) == g.point_value(leaf)
+            assert f1.q(point_value(k_obj, leaf)) == point_value(f, leaf)
+            assert g1.q(point_value(k_obj, leaf)) == point_value(g, leaf)
         # universal property, pointwise over every compatible pair
         for x in f.target.points:
             for y in g.target.points:
@@ -242,9 +249,9 @@ def test_acceptance_06_lift_oracle_equivalence(k4_presentation):
             beta_hint = lift.beta
             assert len(pres.ambient.levels[lift.beta]) <= 8
             for w in pres.ambient.points:
-                assert f(lift.point_table[w]) == g[w]
+                assert f(lift.on_points[w]) == g[w]
             for x in pres.space.points:
-                assert lift.point_table[pres.eta_point(x)] == b[x]
+                assert lift.on_points[pres.eta_point(x)] == b[x]
             oracle = brute_force_lift_oracle(pres, f, b, g, beta=lift.beta)
             assert oracle and lift.ball_table in oracle
         else:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -933,3 +934,45 @@ def test_sections_are_read_before_any_check(tmp_path, produced, name, key, capsy
     code, out, err = _verify_payload(tmp_path, cert, capsys)
     assert code == 2 and out == ""
     assert err.startswith("parse error: ")
+
+
+def run_capped(cap_mib: int, *args) -> tuple[int, str, float]:
+    """Run the CLI in a child whose address space is capped at `cap_mib`,
+    so a regression fails fast instead of filling the machine; return its
+    exit code, stderr and peak resident memory in MiB."""
+    cap = cap_mib * 2**20
+    env = dict(os.environ, PYTHONPATH=str(Path(ultrafraisse.__file__).resolve().parent.parent))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ultrafraisse.cli", *map(str, args)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, err, usage.ru_maxrss / 1024
+
+
+def test_a_deep_space_cannot_take_verify_down(tmp_path, produced):
+    # a 20,000-level path as the embedded space: about 1.2 MB of certificate
+    cert = json.loads(json.dumps(produced["k4-embedding"]))
+    n = 20_000
+    cert["space"] = {"depth": n, "levels": [[f"b{a}"] for a in range(n + 1)], "parents": [[0]] * n}
+    cert["integrity"] = serial.content_digest(cert)
+    path = tmp_path / "deep.json"
+    path.write_text(serial.dumps(cert))
+    code, err, peak_mib = run_capped(400, "verify", path)
+    assert code == 2, err
+    assert err.startswith("parse error: sequence: phi 0: ")
+    assert peak_mib < 100
+
+
+def test_running_out_of_memory_is_a_capacity_error(k4_path, tmp_path):
+    code, err, _ = run_capped(160, "embed", k4_path, "--depth", 40, "--out", tmp_path / "deep.json")
+    assert (code, err) == (3, "depth/capacity error: out of memory\n")
+    assert not (tmp_path / "deep.json").exists()
+    code, err, _ = run_capped(160, "embed", k4_path, "--depth", 6, "--out", tmp_path / "d6.json")
+    assert (code, err) == (0, "")

@@ -20,7 +20,7 @@ from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_cohere
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
 
-from oracles import dominating_arrow, identity_arrow, random_tree
+from oracles import dominating_arrow, identity_arrow, point_value, random_tree, value_on_ball
 
 
 def test_padding_schedule_default_doubles():
@@ -43,7 +43,7 @@ def test_padded_object_counts(tree_k4, schedule):
 
 def test_padded_object_preimage_law(tree_k4, schedule):
     p = make_padded_object(tree_k4, 1, 1, schedule)
-    table = p.object.point_table()
+    table = {x: point_value(p.object, x) for x in p.object.base.points}
     for label in tree_k4.levels[1].points:
         assert {x for x, v in table.items() if v == label} == tree_k4.leafset(1, label)
     # pads are unreached
@@ -138,7 +138,7 @@ def test_dominating_arrow_k4_step(tree_k4, schedule):
     assert arrow.q.is_surjective()
     # triangle over the base
     for leaf in tree_k4.points:
-        assert arrow.q(arrow.src.point_value(leaf)) == arrow.dst.point_value(leaf)
+        assert arrow.q(point_value(arrow.src, leaf)) == point_value(arrow.dst, leaf)
 
 
 @pytest.mark.parametrize("low_level,low_pad", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
@@ -150,7 +150,7 @@ def test_dominating_arrows_surjective_with_exact_triangle(
     arrow = dominating_arrow(tree_k4, (low_level, low_pad), high, schedule)
     assert arrow.q.is_surjective()
     for leaf in tree_k4.points:
-        assert arrow.q(arrow.src.point_value(leaf)) == arrow.dst.point_value(leaf)
+        assert arrow.q(point_value(arrow.src, leaf)) == point_value(arrow.dst, leaf)
 
 
 def test_dominating_arrow_composites_stay_in_category(tree_k4, schedule):
@@ -214,7 +214,7 @@ def test_dominate_arrow_splits_fibers_between_image_and_rest(tree_k4, schedule):
     canonical = dominating_arrow(tree_k4, (0, 0), (padded.ball_level, padded.pad_index), schedule)
     assert compose(arrow.q, g.q) == canonical.q
     for leaf in tree_k4.points:
-        assert g.q(padded.object.point_value(leaf)) == h.point_value(leaf)
+        assert g.q(point_value(padded.object, leaf)) == point_value(h, leaf)
     assert g.q.is_surjective()
 
 
@@ -454,8 +454,8 @@ def oracle_dominate_arrow(arrow, dst, schedule, *, ball_level=None, pad_floor=No
     padded = make_padded_object(tree, beta, delta, schedule)
     mapping = {}
     for b in padded.ball_labels:
-        mapping[b] = h.value_on_ball(beta, b)
-    h_image = set(h.point_table().values())
+        mapping[b] = value_on_ball(h, beta, b)
+    h_image = {point_value(h, x) for x in h.base.points}
     for p in dst.pad_labels:
         fiber = arrow.q.fiber(p)
         for i, x in enumerate(tag1[p]):

@@ -100,7 +100,7 @@ def test_lift_with_bijection_is_inverse(pres_k4):
     f, b, g = bijective_lift_fixture(pres_k4)
     lift = lift_through_generic(pres_k4, f, b, g)
     inverse = {"x0": "w0", "x1": "w1"}
-    assert all(lift.point_table[w] == inverse[g[w]] for w in pres_k4.ambient.points)
+    assert all(lift.on_points[w] == inverse[g[w]] for w in pres_k4.ambient.points)
     oracle = brute_force_lift_oracle(pres_k4, f, b, g, beta=lift.beta)
     assert oracle == [lift.ball_table]
 
@@ -125,9 +125,9 @@ def test_lift_splits_fiber_using_free_balls(pres_k4):
     lift = lift_through_generic(pres_k4, f, b, g)
     assert lift.avoid_families["extra"], "the extra point must own an image-free ball"
     for w in pres_k4.ambient.points:
-        assert f(lift.point_table[w]) == g[w]
+        assert f(lift.on_points[w]) == g[w]
     for x in pres_k4.space.points:
-        assert lift.point_table[pres_k4.eta_point(x)] == "y0"
+        assert lift.on_points[pres_k4.eta_point(x)] == "y0"
     oracle = brute_force_lift_oracle(pres_k4, f, b, g, beta=lift.beta, bound=2_000_000)
     assert lift.ball_table in oracle
     assert oracle

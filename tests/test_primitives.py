@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ultrafraisse import engine, serial
 from ultrafraisse.balltree import (
+    BallTree,
     NowhereDenseFailure,
     NowhereDenseWitness,
     ball_quotients,
@@ -42,7 +43,7 @@ from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_cohere
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
 
-from oracles import ancestor, random_tree
+from oracles import ancestor, point_value, random_tree, value_on_ball
 
 
 def shuffled_rebuild(seed: int, **sizes):
@@ -417,11 +418,44 @@ def test_point_value_matches_ancestor_lookup(case):
         tree.levels[level], target, {b: rng.choice(target.points) for b in tree.levels[level].points}
     )
     phi = SliceObject(base=tree, level=level, target=target, quotient_map=quotient)
-    for p in tree.points:
-        assert phi.point_value(p) == quotient(tree.ancestor(tree.depth, p, level))
+    for beta in range(level, tree.depth + 1):
+        got = phi.values(beta)
+        assert list(got) == list(tree.levels[beta].points)
+        assert got == {b: value_on_ball(phi, beta, b) for b in tree.levels[beta].points}
+    assert phi.values(tree.depth) == {p: point_value(phi, p) for p in tree.points}
+    for beta in range(level):
+        message = re.escape(f"balls at level {beta} are too coarse for level {level}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            phi.values(beta)
+
+
+def sorted_key_rebuild(tree):
+    """The tree with each parent map read back through `serial.dumps`, so
+    its table is in sorted-key order rather than level order."""
+    parents = tuple(
+        Surjection(par.dom, par.cod, serial.loads(serial.dumps(par.mapping)))
+        for par in tree.parents
+    )
+    return BallTree(levels=tree.levels, parents=parents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_above_matches_ancestor_lookups(seed, sorted_keys):
+    tree = shuffled_rebuild(seed)
+    if sorted_keys:
+        tree = sorted_key_rebuild(tree)
+    for level in range(tree.depth + 1):
+        for alpha in range(level + 1):
+            column = tree.above(level, alpha)
+            assert list(column) == list(tree.levels[level].points)
+            for b, up in column.items():
+                assert up == ancestor(tree, level, b, alpha) == tree.ancestor(level, b, alpha)
+    with pytest.raises(ValueError, match="bad ancestor request"):
+        tree.above(0, 1)
     message = re.escape(f"'foreign' is not a ball at level {tree.depth}")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        phi.point_value("foreign")
+        tree.ancestor(tree.depth, "foreign", 0)
 
 
 def ref_commute_error(arrow_src, arrow_dst, q):
@@ -429,8 +463,8 @@ def ref_commute_error(arrow_src, arrow_dst, q):
     ball, as SliceArrow first checked it, or None."""
     level = max(arrow_src.level, arrow_dst.level)
     for label in arrow_src.base.levels[level].points:
-        got = q(arrow_src.value_on_ball(level, label))
-        want = arrow_dst.value_on_ball(level, label)
+        got = q(value_on_ball(arrow_src, level, label))
+        want = value_on_ball(arrow_dst, level, label)
         if got != want:
             return (
                 f"arrow does not commute over the base: ball {label!r} "
@@ -459,7 +493,7 @@ def test_slice_arrow_check_matches_ancestor_lookups(case, perturb):
     q = Surjection(source, target, {"s0": "t0", "s1": "t1", "s2": "t0", "s3": "t1"})
     # dst commutes with src where it factors (dst at the finer level), else at random
     values = {
-        b: q(src.value_on_ball(dst_level, b)) if dst_level >= src_level else rng.choice(target.points)
+        b: q(value_on_ball(src, dst_level, b)) if dst_level >= src_level else rng.choice(target.points)
         for b in tree.levels[dst_level].points
     }
     if perturb:
@@ -617,21 +651,21 @@ def test_one_stage_absorbing_k_tasks_does_linear_work(monkeypatch):
 
 
 def test_build_checks_each_step_once(monkeypatch):
-    from ultrafraisse import sequences
-
     sliced_checks, step_checks = [], []
-    post_init, carries = SlicedSequence.__post_init__, sequences._carries
+    post_init, discord = SlicedSequence.__post_init__, SliceObject.discord
 
     def counting_post_init(self):
         sliced_checks.append(1)
         post_init(self)
 
-    def counting_carries(*args):
-        step_checks.append(1)
-        return carries(*args)
+    def counting_discord(self, *args):
+        # only the runs that SlicedSequence.__post_init__ makes, not SliceArrow's
+        if sys._getframe(1).f_code is post_init.__code__:
+            step_checks.append(1)
+        return discord(self, *args)
 
     monkeypatch.setattr(SlicedSequence, "__post_init__", counting_post_init)
-    monkeypatch.setattr(sequences, "_carries", counting_carries)
+    monkeypatch.setattr(SliceObject, "discord", counting_discord)
     build = build_fraisse(binary_tree(3), 8, PaddingSchedule(), [(1, "p0"), (2, "00")])
     monkeypatch.undo()
     assert len(build.witnesses) == 2
@@ -870,7 +904,7 @@ def old_is_uniformly_nowhere_dense(tree, subset):
 def old_eta_threads(sliced, ambient):
     root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
     return {
-        x: root + tuple(phi.point_value(x) for phi in sliced.phis)
+        x: root + tuple(point_value(phi, x) for phi in sliced.phis)
         for x in sliced.base.points
     }
 
@@ -881,7 +915,7 @@ def old_slice_check(seq, phis):
     for a, step in enumerate(seq.steps):
         upper, lower = phis[a + 1], phis[a]
         for point in base.points:
-            if step(upper.point_value(point)) != lower.point_value(point):
+            if step(point_value(upper, point)) != point_value(lower, point):
                 raise ValueError(
                     f"step {a} does not carry phis[{a + 1}] to phis[{a}] at base point {point!r}"
                 )

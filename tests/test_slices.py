@@ -9,7 +9,7 @@ from ultrafraisse.slices import (
 )
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, pair_label
 
-from oracles import identity_arrow
+from oracles import identity_arrow, point_value, value_on_ball
 
 
 def slice_obj(tree, level, name, values, extra=()):
@@ -37,11 +37,10 @@ def test_slice_object_levels_checked(tree_k4):
 
 def test_slice_values_via_ancestors(tree_k4):
     f = slice_obj(tree_k4, 1, "t", {"0": "u", "1": "v"})
-    assert f.point_value("00") == "u"
-    assert f.point_value("11") == "v"
-    assert f.value_on_ball(2, "01") == "u"
+    assert f.values(1) == {"0": "u", "1": "v"}
+    assert list(f.values(2).items()) == [("00", "u"), ("01", "u"), ("10", "v"), ("11", "v")]
     with pytest.raises(ValueError, match="too coarse"):
-        f.value_on_ball(0, "")
+        f.values(0)
 
 
 def test_arrow_commutation_enforced(tree_k4):
@@ -82,8 +81,8 @@ def test_amalgamate_level_one_cospan(tree_k4):
         assert q1.q(f1.q(p)) == q2.q(g1.q(p))
     # triangles commute on the base
     for leaf in tree_k4.points:
-        assert f1.q(k.point_value(leaf)) == f.point_value(leaf)
-        assert g1.q(k.point_value(leaf)) == g.point_value(leaf)
+        assert f1.q(point_value(k, leaf)) == point_value(f, leaf)
+        assert g1.q(point_value(k, leaf)) == point_value(g, leaf)
 
 
 def test_amalgamate_equal_legs_hits_pullback_size(tree_k4):
@@ -144,7 +143,7 @@ def random_cospan(tree, rng, max_size=5):
         fibers = {z: q.fiber(z) for z in h.target.points}
         vals = {}
         for b in tree.levels[level].points:
-            hv = h.value_on_ball(level, b)
+            hv = value_on_ball(h, level, b)
             vals[b] = rng.choice(fibers[hv])
         obj = SliceObject(base=tree, level=level, target=target, quotient_map=PointMap(tree.levels[level], target, vals))
         out.append(SliceArrow(obj, h, q))
@@ -160,8 +159,8 @@ def test_random_cospans_amalgamate(tree_k4):
         for p in k.target.points:
             assert q1.q(f1.q(p)) == q2.q(g1.q(p))
         for leaf in tree_k4.points:
-            assert f1.q(k.point_value(leaf)) == f.point_value(leaf)
-            assert g1.q(k.point_value(leaf)) == g.point_value(leaf)
+            assert f1.q(point_value(k, leaf)) == point_value(f, leaf)
+            assert g1.q(point_value(k, leaf)) == point_value(g, leaf)
         assert f1.q.is_surjective() and g1.q.is_surjective()
 
 
