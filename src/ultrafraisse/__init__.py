@@ -29,7 +29,6 @@ from .engine import (
 from .errors import DepthError, InputError, SchemaError
 from .fixtures import binary_tree, k4
 from .generic import (
-    AmbientAutoMap,
     GenericPresentation,
     LiftResult,
     PartialHomeo,

@@ -265,8 +265,9 @@ def validate_witness(tree: BallTree, subset: Iterable[str], witness: NowhereDens
     return Report(tuple(issues))
 
 
-def factoring_level(tree: BallTree, point_map: Mapping[str, str]) -> int:
-    """Least level at which the map is constant on every ball.
+def factoring_level(tree: BallTree, point_map: Mapping[str, str]) -> tuple[int, dict[str, str]]:
+    """Least level at which the map is constant on every ball, with the
+    map on that level's balls in level order.
 
     The returned level is the modulus of uniform continuity of the map; it
     always exists because depth-level balls are singletons.
@@ -276,10 +277,10 @@ def factoring_level(tree: BallTree, point_map: Mapping[str, str]) -> int:
         raise ValueError(f"map undefined at point {missing[0]!r}")
     # bottom up, until the first level whose balls' children disagree
     values = point_map
-    for level in range(tree.depth - 1, -1, -1):
+    for level in range(tree.depth, 0, -1):
         here: dict[str, str] = {}
-        for child, parent in tree.parents[level].mapping.items():
+        for child, parent in tree.parents[level - 1].mapping.items():
             if here.setdefault(parent, values[child]) != values[child]:
-                return level + 1
+                return level, {b: values[b] for b in tree.levels[level].points}
         values = here
-    return 0
+    return 0, values

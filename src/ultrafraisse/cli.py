@@ -23,7 +23,6 @@ from ._record import Record
 from .balltree import (
     NowhereDenseFailure,
     ball_quotients,
-    factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
     validate_witness,
@@ -42,12 +41,18 @@ from .fixtures import binary_tree, k4
 from .generic import (
     GenericPresentation,
     PartialHomeo,
+    check_level_bijections,
+    check_level_extension,
+    check_level_parents,
+    check_restores,
+    check_square,
     extend_homeo,
     embed_generic,
     eta_threads,
     lift_on_points,
     presentation_from_subset,
     retract_onto,
+    retraction_components,
     retraction_table,
 )
 from .sequences import (
@@ -236,7 +241,7 @@ def cmd_extend(config: RunConfig) -> dict:
     mapping = serial.label_map(data.get("map"), "extend input: 'map'")
     src_pres = presentation_from_subset(ambient, src_points)
     dst_pres = presentation_from_subset(ambient, dst_points)
-    auto = extend_homeo(PartialHomeo(src_pres, dst_pres, mapping))
+    level_maps = extend_homeo(PartialHomeo(src_pres, dst_pres, mapping))
     payload = {
         "kind": "extension-certificate",
         "ambient": serial.tree_to_json(ambient),
@@ -244,7 +249,7 @@ def cmd_extend(config: RunConfig) -> dict:
         "dst_points": list(dst_points),
         "mapping": mapping,
         "levels": [
-            {"level": level, "map": dict(table)} for level, table in enumerate(auto.level_maps)
+            {"level": level, "map": dict(table)} for level, table in enumerate(level_maps)
         ],
     }
     payload["integrity"] = serial.content_digest(payload)
@@ -455,30 +460,9 @@ def _verify_extension(sections: dict) -> list[Check]:
     src = presentation_from_subset(ambient, sections["src_points"])
     dst = presentation_from_subset(ambient, sections["dst_points"])
 
-    def bijections():
-        for level, table in enumerate(tables):
-            pts = set(ambient.levels[level].points)
-            if set(table) != pts or set(table.values()) != pts:
-                raise ValueError(f"level {level} map is not a bijection of the level")
-    _check(checks, "level maps are bijections", bijections)
-
-    def parent_compat():
-        for level in range(ambient.depth):
-            for child in ambient.levels[level + 1].points:
-                got = ambient.parents[level](tables[level + 1][child])
-                want = tables[level][ambient.parents[level](child)]
-                if got != want:
-                    raise ValueError(f"parent compatibility fails at {child!r} (level {level + 1})")
-    _check(checks, "level maps commute with parents", parent_compat)
-
-    def extension():
-        if set(mapping) != set(src.space.points):
-            raise ValueError("mapping does not cover the source points")
-        for x, y in mapping.items():
-            got = tuple(tables[a][e] for a, e in enumerate(src.eta[x]))
-            if got != dst.eta[y]:
-                raise ValueError(f"extension clause fails at {x!r}")
-    _check(checks, "level maps extend the point mapping", extension)
+    _check(checks, "level maps are bijections", lambda: check_level_bijections(ambient, ambient, tables))
+    _check(checks, "level maps commute with parents", lambda: check_level_parents(ambient, ambient, tables))
+    _check(checks, "level maps extend the point mapping", lambda: check_level_extension(src, dst, mapping, tables))
     return checks
 
 
@@ -509,11 +493,7 @@ def _verify_retraction(sections: dict) -> list[Check]:
     # the arrow is natural, so its point table states it (see retraction_table)
     derived = retraction_table(ambient, holder["arrow"])
 
-    def left_inverse():
-        for x, thread in eta.items():
-            if derived[thread[-1]] != x:
-                raise ValueError(f"retraction does not restore base point {x!r}")
-    _check(checks, "retraction is a left inverse of the embedding", left_inverse)
+    _check(checks, "retraction is a left inverse of the embedding", lambda: check_restores(eta, derived))
 
     def table_check():
         if table != derived:
@@ -525,10 +505,8 @@ def _verify_retraction(sections: dict) -> list[Check]:
     _check(checks, "point table matches the arrow", table_check)
 
     def certified_levels():
-        for m in range(space.depth + 1):
-            up = space.above(space.depth, m)
-            component = {w: up[derived[w]] for w in ambient.points}
-            if factoring_level(ambient, component) != reindex[m]:
+        for m, (level, _) in enumerate(retraction_components(ambient, space, derived)):
+            if level != reindex[m]:
                 raise ValueError(f"component {m} does not factor first at level {reindex[m]}")
     _check(checks, "reindex levels are the exact factoring levels", certified_levels)
     return checks
@@ -563,12 +541,7 @@ def _verify_lift(sections: dict) -> list[Check]:
     avoid, image = sections["avoid_families"], sections["image_families"]
     pres = presentation_from_subset(ambient, sections["subset"])
 
-    def square():
-        for x in pres.space.points:
-            if g.get(pres.eta_point(x)) != f(b[x]):
-                raise ValueError(f"square does not commute at base point {x!r}")
-
-    _check(checks, "lift square commutes", square)
+    _check(checks, "lift square commutes", lambda: check_square(pres, f, b, g))
 
     _check(checks, "lift equations hold pointwise", lambda: lift_on_points(pres, f, b, g, beta, table))
 

@@ -6,7 +6,9 @@ K into the ambient points.  The image's nowhere-density witness is not
 stored: `is_uniformly_nowhere_dense(pres.ambient, image)` determines it.
 All four headline operations are deterministic; the brute-force oracle
 recomputes the lifting problem by exhaustive enumeration so the two routes
-can be compared on small instances.
+can be compared on small instances.  Each certificate clause a producer
+self-checks is one function here (`check_*`, `lift_on_points`,
+`retraction_components`), which `verify` runs under its check name.
 """
 
 from __future__ import annotations
@@ -184,57 +186,48 @@ class LiftResult(Record):
     image_families: dict[str, tuple[str, ...]]
 
 
-def _ball_values(tree: BallTree, level: int, point_map: Mapping[str, str]) -> dict[str, str]:
-    leaves: dict[str, list[str]] = {label: [] for label in tree.levels[level].points}
-    for p, up in tree.above(tree.depth, level).items():
-        leaves[up].append(p)
-    out = {}
-    for label, points in leaves.items():
-        values = {point_map[p] for p in points}
-        if len(values) != 1:
-            raise ValueError(f"map is not constant on ball {label!r} at level {level}")
-        out[label] = values.pop()
-    return out
+def check_square(pres: GenericPresentation, f: Surjection, b: Mapping[str, str], g: Mapping[str, str]) -> None:
+    """The lifting square commutes: g o eta = f o b at every base point."""
+    for x in pres.space.points:
+        if g.get(pres.eta_point(x)) != f(b[x]):
+            raise InputError(f"square does not commute at base point {x!r}")
 
 
-def _choose_lift_level(
+def _lift_level(
     pres: GenericPresentation,
     f: Surjection,
     b: Mapping[str, str],
     g: Mapping[str, str],
-) -> tuple[int, str]:
-    """Least level whose balls separate the b-classes of the image and leave
-    enough image-free balls in every g-fiber; returns (level, '') or (0, why)."""
+) -> tuple[int, dict[str, str], dict[str, list[str]]]:
+    """Least level deeper than g's factoring level whose balls separate the
+    b-classes of the image and leave enough image-free balls in every
+    g-fiber, with g on its balls in level order and its marked balls;
+    DepthError when no level does.  g on the balls is read down one parent
+    map per candidate level."""
     ambient = pres.ambient
-    alpha = factoring_level(ambient, dict(g))
-    reason = ""
+    alpha, g_on_balls = factoring_level(ambient, g)
+    reason = "no level deeper than the factoring level exists"
     for beta in range(alpha + 1, ambient.depth + 1):
-        g_on_balls = _ball_values(ambient, beta, g)
+        parent = ambient.parents[beta - 1].mapping
+        g_on_balls = {label: g_on_balls[parent[label]] for label in ambient.levels[beta].points}
         marked = pres.holders(beta)
-        ok = True
-        for label in ambient.levels[beta].points:
-            if len({b[x] for x in marked.get(label, ())}) > 1:
+        free = dict.fromkeys(f.cod.points, 0)
+        for label, x_point in g_on_balls.items():
+            holders = marked.get(label)
+            if not holders:
+                free[x_point] += 1
+            elif len({b[x] for x in holders}) > 1:
                 reason = f"level {beta}: ball {label!r} mixes distinct b-values"
-                ok = False
                 break
-        if not ok:
-            continue
-        for x_point in f.cod.points:
-            free = [
-                label
-                for label in ambient.levels[beta].points
-                if g_on_balls[label] == x_point and label not in marked
-            ]
-            if len(free) < len(f.fiber(x_point)):
-                reason = (
-                    f"level {beta}: fiber over {x_point!r} has {len(free)} image-free balls, "
-                    f"needs {len(f.fiber(x_point))}"
-                )
-                ok = False
-                break
-        if ok:
-            return beta, ""
-    return 0, reason or "no level deeper than the factoring level exists"
+        else:
+            short = next((x for x in f.cod.points if free[x] < len(f.fiber(x))), None)
+            if short is None:
+                return beta, g_on_balls, marked
+            reason = (
+                f"level {beta}: fiber over {short!r} has {free[short]} image-free balls, "
+                f"needs {len(f.fiber(short))}"
+            )
+    raise DepthError(f"ambient depth {ambient.depth} is insufficient: {reason}")
 
 
 def lift_through_generic(
@@ -264,37 +257,24 @@ def lift_through_generic(
             raise InputError(f"g value {g[w]!r} is not a point of the lift target")
     if set(g[w] for w in pres.ambient.points) != set(x_space.points):
         raise InputError("g is not onto the lift target")
-    for x in pres.space.points:
-        if g[pres.eta_point(x)] != f(b[x]):
-            raise InputError(f"square does not commute at base point {x!r}")
+    check_square(pres, f, b, g)
 
-    beta, reason = _choose_lift_level(pres, f, b, g)
-    if beta == 0:
-        raise DepthError(f"ambient depth {pres.ambient.depth} is insufficient: {reason}")
-
-    ambient = pres.ambient
-    g_on_balls = _ball_values(ambient, beta, g)
-    marked = pres.holders(beta)
+    beta, g_on_balls, marked = _lift_level(pres, f, b, g)
     ball_table: dict[str, str] = {}
     avoid: dict[str, list[str]] = {y: [] for y in y_space.points}
     image: dict[str, list[str]] = {y: [] for y in y_space.points}
-    for x_point in x_space.points:
-        fiber = f.fiber(x_point)
-        free = []
-        for label in ambient.levels[beta].points:
-            if g_on_balls[label] != x_point:
-                continue
-            holders = marked.get(label)
-            if holders:
-                y = b[holders[0]]
-                ball_table[label] = y
-                image[y].append(label)
-            else:
-                free.append(label)
-        for i, label in enumerate(free):
-            y = fiber[i % len(fiber)]
-            ball_table[label] = y
+    dealt = dict.fromkeys(x_space.points, 0)  # image-free balls dealt per g-fiber
+    for label, x_point in g_on_balls.items():
+        holders = marked.get(label)
+        if holders:
+            y = b[holders[0]]
+            image[y].append(label)
+        else:
+            fiber = f.fiber(x_point)
+            y = fiber[dealt[x_point] % len(fiber)]
+            dealt[x_point] += 1
             avoid[y].append(label)
+        ball_table[label] = y
 
     return LiftResult(
         beta=beta,
@@ -340,20 +320,16 @@ def brute_force_lift_oracle(
     f: Surjection,
     b: Mapping[str, str],
     g: Mapping[str, str],
+    beta: int,
     *,
     bound: int = 200_000,
-    beta: int | None = None,
 ) -> list[dict[str, str]]:
-    """Every ball table at one level solving both lift equations, by enumeration.
+    """Every ball table at level beta solving both lift equations, by enumeration.
 
     Independent of the constructive route: candidates per ball come from the
     fiber constraints alone and surjectivity is filtered at the end.  Raises
     when the search space |Y| ** (number of balls) exceeds `bound`.
     """
-    if beta is None:
-        beta, reason = _choose_lift_level(pres, f, b, g)
-        if beta == 0:
-            raise DepthError(f"no enumeration level available: {reason}")
     ambient = pres.ambient
     labels = ambient.levels[beta].points
     y_space = f.dom
@@ -361,11 +337,13 @@ def brute_force_lift_oracle(
         raise DepthError(
             f"oracle bound exceeded: {len(y_space)}^{len(labels)} maps at level {beta}"
         )
-    g_on_balls = _ball_values(ambient, beta, g)
+    g_values: dict[str, set[str]] = {label: set() for label in labels}
+    for w, label in ambient.above(ambient.depth, beta).items():
+        g_values[label].add(g[w])
     marked = pres.holders(beta)
     candidates = []
     for label in labels:
-        cands = [y for y in f.fiber(g_on_balls[label])]
+        cands = [y for y in y_space.points if g_values[label] == {f(y)}]
         if label in marked:
             need = {b[x] for x in marked[label]}
             cands = [y for y in cands if y in need] if len(need) == 1 else []
@@ -416,43 +394,46 @@ class PartialHomeo(Record):
                     )
 
 
-class AmbientAutoMap(Record):
-    """Level-wise bijections between two ambient trees commuting with parents."""
-
-    src: BallTree
-    dst: BallTree
-    level_maps: tuple[dict[str, str], ...]
-
-    def __post_init__(self):
-        if self.src.depth != self.dst.depth:
-            raise ValueError("ambient trees differ in depth")
-        if len(self.level_maps) != self.src.depth + 1:
-            raise ValueError("need one level map per level")
-        for level, table in enumerate(self.level_maps):
-            if set(table) != set(self.src.levels[level].points):
-                raise ValueError(f"level {level} map is not total")
-            if set(table.values()) != set(self.dst.levels[level].points):
-                raise ValueError(f"level {level} map is not a bijection")
-        for level in range(self.src.depth):
-            upper, lower = self.level_maps[level + 1], self.level_maps[level]
-            src_parent = self.src.parents[level].mapping
-            dst_parent = self.dst.parents[level].mapping
-            for child in self.src.levels[level + 1].points:
-                if dst_parent[upper[child]] != lower[src_parent[child]]:
-                    raise ValueError(f"level maps do not commute with parents at {child!r}")
-
-    def apply(self, thread: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(self.level_maps[a][e] for a, e in enumerate(thread))
+def check_level_bijections(src: BallTree, dst: BallTree, maps: Sequence[Mapping[str, str]]) -> None:
+    """Each level map is a bijection of the src level onto the dst level."""
+    for level, table in enumerate(maps):
+        here, there = src.levels[level], dst.levels[level]
+        if len(here) != len(there) or set(table) != set(here.points) or set(table.values()) != set(there.points):
+            raise AssertionError(f"level {level} map is not a bijection of the level")
 
 
-def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
-    """Extend a partial homeomorphism to level bijections of the ambients.
+def check_level_parents(src: BallTree, dst: BallTree, maps: Sequence[Mapping[str, str]]) -> None:
+    """The level maps commute with the parent maps."""
+    for level in range(src.depth):
+        src_parent, dst_parent = src.parents[level].mapping, dst.parents[level].mapping
+        upper, lower = maps[level + 1], maps[level]
+        for child in src.levels[level + 1].points:
+            if dst_parent[upper[child]] != lower[src_parent[child]]:
+                raise AssertionError(f"parent compatibility fails at {child!r} (level {level + 1})")
+
+
+def check_level_extension(
+    src: GenericPresentation,
+    dst: GenericPresentation,
+    mapping: Mapping[str, str],
+    maps: Sequence[Mapping[str, str]],
+) -> None:
+    """The level maps carry each source point's eta thread to its image's."""
+    if set(mapping) != set(src.space.points):
+        raise AssertionError("mapping does not cover the source points")
+    for x, y in mapping.items():
+        if tuple(maps[a][e] for a, e in enumerate(src.eta[x])) != dst.eta[y]:
+            raise AssertionError(f"extension clause fails at {x!r}")
+
+
+def extend_homeo(p: PartialHomeo) -> tuple[dict[str, str], ...]:
+    """Extend a partial homeomorphism to level bijections of the ambients,
+    one map per level, commuting with the parent maps.
 
     Levels are fixed one at a time: children carrying embedded points are
     matched through the given bijection, the remaining (image-free) children
-    are paired off in canonical order.  Rounds alternate the driving side,
-    which only alternates the iteration order; the matching itself is
-    symmetric.  Fails when level shapes or fiber sizes disagree.
+    are paired off in canonical order.  Fails when level shapes or fiber
+    sizes disagree.
     """
     src_amb, dst_amb = p.src.ambient, p.dst.ambient
     if src_amb.depth != dst_amb.depth:
@@ -472,12 +453,7 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
         src_kids = src_amb.parents[level - 1].fibers()
         dst_kids = dst_amb.parents[level - 1].fibers()
         table: dict[str, str] = {}
-        parents_pairs = list(level_maps[level - 1].items())
-        if level % 2 == 0:
-            parents_pairs = sorted(
-                parents_pairs, key=lambda vw: dst_amb.levels[level - 1].index(vw[1])
-            )
-        for v, w in parents_pairs:
+        for v, w in level_maps[level - 1].items():
             src_children, dst_children = src_kids.get(v, ()), dst_kids.get(w, ())
             if len(src_children) != len(dst_children):
                 raise DepthError(
@@ -511,11 +487,11 @@ def extend_homeo(p: PartialHomeo) -> AmbientAutoMap:
                 table[c_src] = c_dst
         level_maps.append(table)
 
-    auto = AmbientAutoMap(src=src_amb, dst=dst_amb, level_maps=tuple(level_maps))
-    for x, y in p.mapping.items():
-        if auto.apply(p.src.eta[x]) != p.dst.eta[y]:
-            raise AssertionError(f"the extension does not carry {x!r} to {y!r}")
-    return auto
+    maps = tuple(level_maps)
+    check_level_bijections(src_amb, dst_amb, maps)
+    check_level_parents(src_amb, dst_amb, maps)
+    check_level_extension(p.src, p.dst, p.mapping, maps)
+    return maps
 
 
 def retract_onto(pres: GenericPresentation) -> SequenceArrow:
@@ -531,26 +507,40 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
     for x in base.points:
         base_of.setdefault(pres.eta_point(x), x)
     nearest = {w: base_of[e] for w, e in nearest_points(ambient, tuple(base_of)).items()}
-    reindex = []
-    maps = []
-    for m in range(base.depth + 1):
-        up = base.above(base.depth, m)
-        component = {w: up[nearest[w]] for w in ambient.points}
-        level = factoring_level(ambient, component)
-        reindex.append(level)
-        table = _ball_values(ambient, level, component)
-        maps.append(Surjection(ambient.levels[level], base.levels[m], table))
+    components = retraction_components(ambient, base, nearest)
     arrow = SequenceArrow(
         src=ball_quotients(ambient),
         dst=ball_quotients(base),
-        reindex=tuple(reindex),
-        maps=tuple(maps),
+        reindex=tuple(level for level, _ in components),
+        maps=tuple(
+            Surjection(ambient.levels[level], base.levels[m], values)
+            for m, (level, values) in enumerate(components)
+        ),
     )
-    table = retraction_table(ambient, arrow)
-    for x in base.points:
-        if table[pres.eta_point(x)] != x:
-            raise AssertionError(f"the retraction does not restore base point {x!r}")
+    check_restores(pres.eta, retraction_table(ambient, arrow))
     return arrow
+
+
+def retraction_components(
+    ambient: BallTree, base: BallTree, table: Mapping[str, str]
+) -> list[tuple[int, dict[str, str]]]:
+    """For each base level m, the factoring level of the point table's
+    level-m component (each ambient point to its image's level-m ball) and
+    the component on that level's balls, as `factoring_level` gives them.
+    The components are read up the base's parent maps, one level at a time."""
+    component = {w: table[w] for w in ambient.points}
+    components = [factoring_level(ambient, component)]
+    for parent in reversed(base.parents):
+        component = {w: parent.mapping[x] for w, x in component.items()}
+        components.append(factoring_level(ambient, component))
+    return components[::-1]
+
+
+def check_restores(eta: Mapping[str, Sequence[str]], table: Mapping[str, str]) -> None:
+    """The retraction's point table sends each embedded point back to its base point."""
+    for x, thread in eta.items():
+        if table[thread[-1]] != x:
+            raise AssertionError(f"retraction does not restore base point {x!r}")
 
 
 def retraction_table(ambient: BallTree, arrow: SequenceArrow) -> dict[str, str]:

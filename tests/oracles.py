@@ -68,6 +68,11 @@ def thread_embedding(tree: BallTree) -> dict[str, tuple[str, ...]]:
     return {p: tuple(ancestor(tree, tree.depth, p, a) for a in range(tree.depth + 1)) for p in tree.points}
 
 
+def apply_level_maps(maps, thread: tuple[str, ...]) -> tuple[str, ...]:
+    """A thread's image under level maps, one entry at a time."""
+    return tuple(maps[a][e] for a, e in enumerate(thread))
+
+
 def limit_threads(seq: InverseSequence) -> list[tuple[str, ...]]:
     """All threads, one per top-level point, in top-space order.
 

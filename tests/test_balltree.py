@@ -311,10 +311,10 @@ def test_nowhere_dense_to_uniform_rejects_meeting_witness(tree_b3):
 
 def test_factoring_level_cases(tree_b3):
     constant = {p: "v" for p in tree_b3.points}
-    assert factoring_level(tree_b3, constant) == 0
+    assert factoring_level(tree_b3, constant)[0] == 0
     first_bit = {p: p[0] for p in tree_b3.points}
-    assert factoring_level(tree_b3, first_bit) == 1
+    assert factoring_level(tree_b3, first_bit)[0] == 1
     injective = {p: p for p in tree_b3.points}
-    assert factoring_level(tree_b3, injective) == 3
+    assert factoring_level(tree_b3, injective)[0] == 3
     with pytest.raises(ValueError, match="undefined"):
         factoring_level(tree_b3, {"000": "v"})

@@ -206,6 +206,92 @@ def test_extension_mutation_fails(tmp_path, swap_input_path, capsys):
     assert run("verify", mutated) == 1
 
 
+def _set_level_map(level, table):
+    def mutate(cert):
+        cert["levels"][level]["map"] = table
+    return mutate
+
+
+def _identity_levels(cert):
+    for entry in cert["levels"]:
+        entry["map"] = {label: label for label in entry["map"]}
+
+
+@pytest.mark.parametrize(
+    "mutate, lines",
+    [
+        (
+            _set_level_map(2, {"00": "10", "01": "10", "10": "00", "11": "01"}),
+            [
+                "FAIL level maps are bijections: level 2 map is not a bijection of the level",
+                "FAIL level maps commute with parents: parent compatibility fails at '000' (level 3)",
+                "FAIL level maps extend the point mapping: extension clause fails at '000'",
+            ],
+        ),
+        (
+            _set_level_map(1, {"0": "0", "1": "1"}),
+            [
+                "PASS level maps are bijections",
+                "FAIL level maps commute with parents: parent compatibility fails at '00' (level 2)",
+                "FAIL level maps extend the point mapping: extension clause fails at '000'",
+            ],
+        ),
+        (
+            _identity_levels,
+            [
+                "PASS level maps are bijections",
+                "PASS level maps commute with parents",
+                "FAIL level maps extend the point mapping: extension clause fails at '000'",
+            ],
+        ),
+    ],
+    ids=["bijection", "parents", "extension"],
+)
+def test_extension_fail_lines(tmp_path, swap_input_path, mutate, lines, capsys):
+    # the demo's swap extension, its level maps edited and the digest restated
+    out = tmp_path / "ext.json"
+    assert run("extend", swap_input_path, "--out", out) == 0
+    cert = json.loads(out.read_text())
+    mutate(cert)
+    cert["integrity"] = serial.content_digest(cert)
+    mutated = tmp_path / "mutated.json"
+    mutated.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", mutated) == 1
+    assert capsys.readouterr().out.splitlines()[1:4] == lines
+
+
+@pytest.mark.parametrize(
+    "command, clause, check",
+    [
+        ("extend", "check_level_parents", "level maps commute with parents"),
+        ("retract", "check_restores", "retraction is a left inverse of the embedding"),
+    ],
+    ids=["extend", "retract"],
+)
+def test_producer_and_verify_run_one_clause(tmp_path, swap_input_path, k4_path, command, clause, check,
+                                             monkeypatch, capsys):
+    # the producer's closing self-check is the function verify runs: broken,
+    # it is an internal error of the producer and a FAIL line of verify
+    from ultrafraisse import cli, generic
+
+    source = swap_input_path if command == "extend" else k4_path
+    out = tmp_path / "cert.json"
+    assert run(command, source, "--depth", "3", "--out", out) == 0
+
+    def broken(*args):
+        raise AssertionError("broken clause")
+
+    assert getattr(cli, clause) is getattr(generic, clause)
+    monkeypatch.setattr(generic, clause, broken)
+    monkeypatch.setattr(cli, clause, broken)
+    capsys.readouterr()
+    assert run(command, source, "--depth", "3", "--out", tmp_path / "again.json") == 5
+    assert capsys.readouterr().err == "internal error: AssertionError: broken clause\n"
+    assert run("verify", out) == 1
+    assert f"FAIL {check}: broken clause" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("level", [99, True, "1", 1.0, None], ids=["99", "true", "str", "float", "null"])
 def test_extension_level_field_is_checked(tmp_path, swap_input_path, level, capsys):
     # levels are matched by list position, so a stated `level` other than the

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ultrafraisse import generic
 from ultrafraisse.balltree import (
     BallTree,
     is_uniformly_nowhere_dense,
@@ -24,7 +27,7 @@ from ultrafraisse.sequences import apply_sequence_arrow
 from ultrafraisse.slices import SliceObject
 from ultrafraisse.spaces import FiniteSpace, Surjection
 
-from oracles import limit_threads, random_tree, thread_embedding
+from oracles import apply_level_maps, limit_threads, random_tree, thread_embedding
 
 
 def one_point_tree():
@@ -168,6 +171,39 @@ def test_lift_on_subset_presentation(tree_b3):
         assert table[pres.eta["111"][lift.beta]] == "y1"
 
 
+def test_lift_reads_each_level_table_once(monkeypatch):
+    """One lift finds g's factoring level once and reads one column of
+    ancestors, for its point table: each candidate level's g-values are the
+    level above's read down one parent map."""
+    tree = binary_tree(8)
+    rng = random.Random(0)
+    # one leaf of each chosen sibling pair, so the subset is nowhere dense
+    subset = [format(2 * p + rng.randrange(2), "08b") for p in sorted(rng.sample(range(128), 64))]
+    pres = presentation_from_subset(tree, subset)
+    x_space = FiniteSpace("X", ("x0", "x1"))
+    y_space = FiniteSpace("Y", ("y0", "y1", "y2", "y3"))
+    f = Surjection(y_space, x_space, {"y0": "x0", "y1": "x1", "y2": "x0", "y3": "x1"})
+    g = {w: ("x0", "x1")[int(w[0])] for w in tree.points}
+    b = {x: rng.choice(f.fiber(g[x])) for x in subset}
+    calls = []
+    factoring_level, above = generic.factoring_level, BallTree.above
+
+    def counting_factoring_level(*args):
+        calls.append("factoring_level")
+        return factoring_level(*args)
+
+    def counting_above(self, *args):
+        calls.append("above")
+        return above(self, *args)
+
+    monkeypatch.setattr(generic, "factoring_level", counting_factoring_level)
+    monkeypatch.setattr(BallTree, "above", counting_above)
+    lift = lift_through_generic(pres, f, b, g)
+    monkeypatch.undo()
+    assert lift.beta == 7
+    assert (calls.count("factoring_level"), calls.count("above")) == (1, 1)
+
+
 def test_generic_presentation_passes_sequence_certification(pres_k4, tree_k4):
     # the lifting suite's presentation also certifies as a sequence
     probes = [
@@ -186,18 +222,18 @@ def test_generic_presentation_passes_sequence_certification(pres_k4, tree_k4):
 
 def test_extend_identity_on_same_presentation(pres_k4, tree_k4):
     p = PartialHomeo(pres_k4, pres_k4, {x: x for x in tree_k4.points})
-    auto = extend_homeo(p)
-    for level, table in enumerate(auto.level_maps):
+    level_maps = extend_homeo(p)
+    for level, table in enumerate(level_maps):
         assert all(k == v for k, v in table.items())
 
 
 def test_extend_singleton_swap(tree_b3):
     src = presentation_from_subset(tree_b3, ["000"])
     dst = presentation_from_subset(tree_b3, ["111"])
-    auto = extend_homeo(PartialHomeo(src, dst, {"000": "111"}))
-    # level bijections commuting with parents, validated at construction
-    assert auto.apply(src.eta["000"]) == dst.eta["111"]
-    for level, table in enumerate(auto.level_maps):
+    level_maps = extend_homeo(PartialHomeo(src, dst, {"000": "111"}))
+    # level bijections commuting with parents, checked by extend_homeo
+    assert apply_level_maps(level_maps, src.eta["000"]) == dst.eta["111"]
+    for level, table in enumerate(level_maps):
         assert len(set(table.values())) == len(tree_b3.levels[level])
 
 
@@ -205,18 +241,18 @@ def test_extend_two_point_swap():
     tree = binary_tree(4)
     pres = presentation_from_subset(tree, ["0000", "1111"])
     swap = {"0000": "1111", "1111": "0000"}
-    auto = extend_homeo(PartialHomeo(pres, pres, swap))
+    level_maps = extend_homeo(PartialHomeo(pres, pres, swap))
     emb = thread_embedding(tree)
-    assert auto.apply(emb["0000"]) == emb["1111"]
-    assert auto.apply(emb["1111"]) == emb["0000"]
+    assert apply_level_maps(level_maps, emb["0000"]) == emb["1111"]
+    assert apply_level_maps(level_maps, emb["1111"]) == emb["0000"]
     # restricted to the embedded image the map is exactly the swap
     for x, y in swap.items():
-        assert auto.level_maps[-1][x] == y
+        assert level_maps[-1][x] == y
 
 
 def test_threads_are_plain_tuples(pres_k4, tree_k4):
     subset = presentation_from_subset(binary_tree(3), ["000", "111"])
-    auto = extend_homeo(PartialHomeo(pres_k4, pres_k4, {x: x for x in tree_k4.points}))
+    level_maps = extend_homeo(PartialHomeo(pres_k4, pres_k4, {x: x for x in tree_k4.points}))
     arrow = retract_onto(pres_k4)
     threads = [
         *pres_k4.eta.values(),
@@ -224,7 +260,7 @@ def test_threads_are_plain_tuples(pres_k4, tree_k4):
         *limit_threads(pres_k4.sliced.seq),
         *thread_embedding(pres_k4.ambient).values(),
         *(apply_sequence_arrow(arrow, t) for t in thread_embedding(pres_k4.ambient).values()),
-        *(auto.apply(t) for t in pres_k4.eta.values()),
+        *(apply_level_maps(level_maps, t) for t in pres_k4.eta.values()),
     ]
     assert all(type(t) is tuple for t in threads)
     assert all(type(e) is str for t in threads for e in t)
@@ -247,9 +283,9 @@ def test_extend_rejects_ball_breaking_map(tree_b3):
 def test_extend_connects_independent_builds(tree_k4, schedule):
     a = embed_generic(tree_k4, 4, schedule, ((1, "p0"),))
     b = embed_generic(tree_k4, 4, schedule, ((1, "p1"),))
-    auto = extend_homeo(PartialHomeo(a, b, {x: x for x in tree_k4.points}))
+    level_maps = extend_homeo(PartialHomeo(a, b, {x: x for x in tree_k4.points}))
     for x in tree_k4.points:
-        assert auto.apply(a.eta[x]) == b.eta[x]
+        assert apply_level_maps(level_maps, a.eta[x]) == b.eta[x]
 
 
 def test_extend_rejects_depth_mismatch(tree_k4, schedule):
@@ -280,7 +316,7 @@ def test_retract_k4_left_inverse_exhaustive(pres_k4, tree_k4):
         component = {
             w: tree_k4.ancestor(tree_k4.depth, table[w], m) for w in pres_k4.ambient.points
         }
-        assert factoring_level(pres_k4.ambient, component) == arrow.reindex[m]
+        assert factoring_level(pres_k4.ambient, component)[0] == arrow.reindex[m]
     # as a sequence arrow it sends each embedded thread to its own chain
     chains = thread_embedding(tree_k4)
     for x in tree_k4.points:
