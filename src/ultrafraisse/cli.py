@@ -258,13 +258,13 @@ def cmd_extend(config: RunConfig) -> dict:
 
 def cmd_retract(config: RunConfig) -> dict:
     pres, section = _presentation(config)
-    arrow = retract_onto(pres)
+    arrow, table = retract_onto(pres)
     payload = {
         "kind": "retraction-certificate",
         **section,
         "reindex": list(arrow.reindex),
         "maps": [dict(m.mapping) for m in arrow.maps],
-        "table": retraction_table(pres.ambient, arrow),
+        "table": table,
     }
     payload["integrity"] = serial.content_digest(payload)
     return payload

@@ -14,6 +14,7 @@ self-checks is one function here (`check_*`, `lift_on_points`,
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Mapping, Sequence
 
 from ._record import Record
@@ -382,16 +383,32 @@ class PartialHomeo(Record):
             pairs = {(src_parent[s], dst_parent[d]) for s, d in pairs}
         else:
             return
-        # name the first failing pair of the pairwise definition
-        for x in src_pts:
-            for y in src_pts:
-                du = u_metric(src, x, y)
-                dv = u_metric(dst, self.mapping[x], self.mapping[y])
-                if min(du, common) != min(dv, common):
-                    raise InputError(
-                        f"mapping breaks ball structure at level {min(du, dv) + 1}: "
-                        f"pair ({x!r}, {y!r}) meets at {du}, images meet at {dv}"
-                    )
+        # Name the first failing pair of the pairwise definition.  Its x is the
+        # first point that some y fails with: at some level a <= common, the
+        # images of x's ball meet several balls, or x's ball and its image's
+        # ball hold different numbers of points.
+        ups = [src_up[x] for x in src_pts]
+        image_ups = [dst_up[self.mapping[x]] for x in src_pts]
+        bad = len(src_pts)
+        for a in range(common, 0, -1):
+            spread = Counter(s for s, _ in set(zip(ups, image_ups)))
+            sizes, image_sizes = Counter(ups), Counter(image_ups)
+            for i, (s, d) in enumerate(zip(ups[:bad], image_ups)):
+                if spread[s] > 1 or sizes[s] != image_sizes[d]:
+                    bad = i
+                    break
+            src_parent, dst_parent = src.parents[a - 1].mapping, dst.parents[a - 1].mapping
+            ups = [src_parent[s] for s in ups]
+            image_ups = [dst_parent[d] for d in image_ups]
+        x = src_pts[bad]
+        for y in src_pts:
+            du = u_metric(src, x, y)
+            dv = u_metric(dst, self.mapping[x], self.mapping[y])
+            if min(du, common) != min(dv, common):
+                raise InputError(
+                    f"mapping breaks ball structure at level {min(du, dv) + 1}: "
+                    f"pair ({x!r}, {y!r}) meets at {du}, images meet at {dv}"
+                )
 
 
 def check_level_bijections(src: BallTree, dst: BallTree, maps: Sequence[Mapping[str, str]]) -> None:
@@ -494,9 +511,10 @@ def extend_homeo(p: PartialHomeo) -> tuple[dict[str, str], ...]:
     return maps
 
 
-def retract_onto(pres: GenericPresentation) -> SequenceArrow:
+def retract_onto(pres: GenericPresentation) -> tuple[SequenceArrow, dict[str, str]]:
     """A sequence arrow from the ambient quotients onto the base quotients
-    that is a left inverse of the embedding.
+    that is a left inverse of the embedding, with its point table
+    (`retraction_table`), which the left-inverse self-check reads.
 
     Each ambient point is sent to its nearest embedded point (deepest shared
     ball, ties to the canonical order); the per-level components then factor
@@ -517,8 +535,9 @@ def retract_onto(pres: GenericPresentation) -> SequenceArrow:
             for m, (level, values) in enumerate(components)
         ),
     )
-    check_restores(pres.eta, retraction_table(ambient, arrow))
-    return arrow
+    table = retraction_table(ambient, arrow)
+    check_restores(pres.eta, table)
+    return arrow, table
 
 
 def retraction_components(

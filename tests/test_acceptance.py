@@ -33,7 +33,6 @@ from ultrafraisse.generic import (
     lift_through_generic,
     presentation_from_subset,
     retract_onto,
-    retraction_table,
 )
 from ultrafraisse.engine import PaddingSchedule, build_fraisse
 from ultrafraisse.sequences import InverseSequence, SlicedSequence, apply_sequence_arrow
@@ -43,6 +42,8 @@ from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
 from oracles import (
     apply_level_maps,
     check_axioms,
+    descendants,
+    leafset,
     nowhere_dense_to_uniform,
     point_value,
     random_tree,
@@ -82,7 +83,7 @@ def test_acceptance_02_roundtrip_and_preimage_law():
         for alpha in range(tree.depth + 1):
             for label in tree.levels[alpha].points:
                 cylinder = {p for p, t in embedding.items() if t[alpha] == label}
-                assert cylinder == tree.leafset(alpha, label)
+                assert cylinder == leafset(tree, alpha, label)
     report(2, "quotient/limit round trip and cylinder preimage law, exhaustive")
 
 
@@ -315,8 +316,7 @@ def test_acceptance_07_homeomorphism_extension():
 
 def test_acceptance_08_retraction(k4_presentation):
     pres = k4_presentation
-    arrow = retract_onto(pres)
-    table = retraction_table(pres.ambient, arrow)
+    arrow, table = retract_onto(pres)
     for x in pres.space.points:
         assert table[pres.eta_point(x)] == x
     chains = thread_embedding(pres.space)
@@ -354,8 +354,8 @@ def test_acceptance_09_per_ball_to_uniform():
                 found = next(
                     (beta, cand)
                     for beta in range(alpha + 1, tree.depth + 1)
-                    for cand in tree.descendants(alpha, label, beta)
-                    if not (tree.leafset(beta, cand) & subset)
+                    for cand in descendants(tree, alpha, label, beta)
+                    if not (leafset(tree, beta, cand) & subset)
                 )
                 per_ball[(alpha, label)] = found
         combined = nowhere_dense_to_uniform(tree, subset, per_ball)

@@ -20,7 +20,8 @@ from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_cohere
 from ultrafraisse.slices import SliceArrow, SliceObject
 from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose
 
-from oracles import dominating_arrow, identity_arrow, point_value, random_tree, value_on_ball
+import oracles
+from oracles import dominating_arrow, identity_arrow, leafset, point_value, random_tree
 
 
 def test_padding_schedule_default_doubles():
@@ -45,7 +46,7 @@ def test_padded_object_preimage_law(tree_k4, schedule):
     p = make_padded_object(tree_k4, 1, 1, schedule)
     table = {x: point_value(p.object, x) for x in p.object.base.points}
     for label in tree_k4.levels[1].points:
-        assert {x for x, v in table.items() if v == label} == tree_k4.leafset(1, label)
+        assert {x for x, v in table.items() if v == label} == leafset(tree_k4, 1, label)
     # pads are unreached
     assert not set(table.values()) & set(p.pad_labels)
 
@@ -374,128 +375,30 @@ def test_verify_finds_no_witness_for_foreign_task(tree_k4, schedule):
     assert report.tasks[0].status == "failed"
 
 
-# Reference implementation: the pad-block builders and the candidate loop
-# that the closed-form routing replaced, kept as they were.
-
-
-def oracle_pad_space(schedule: PaddingSchedule, index: int) -> FiniteSpace:
-    return FiniteSpace(
-        id=f"pad{index}",
-        points=tuple(f"p{i}" for i in range(schedule.pad(index))),
-    )
-
-
-def oracle_make_splitter(
-    pad_lo: int, pad_hi: int, schedule: PaddingSchedule
-) -> dict[str, tuple[str, int]]:
-    if pad_lo > pad_hi:
-        raise ValueError(f"splitter needs pad_lo <= pad_hi, got ({pad_lo}, {pad_hi})")
-    hi_points = oracle_pad_space(schedule, pad_hi).points
-    if pad_lo == pad_hi:
-        return {x: (x, 1) for x in hi_points}
-    lo_points = oracle_pad_space(schedule, pad_lo).points
-    targets = [(p, tag) for p in lo_points for tag in (0, 1)]
-    if len(hi_points) < len(targets):
-        raise AssertionError(f"pad block {pad_hi} is too small to split pad block {pad_lo}")
-    return {x: targets[i % len(targets)] for i, x in enumerate(hi_points)}
-
-
-def oracle_make_ball_cover(tree, ball_level: int, pad_index: int, schedule: PaddingSchedule):
-    balls = tree.levels[ball_level]
-    pads = oracle_pad_space(schedule, pad_index)
-    if len(pads) < len(balls):
-        raise DepthError(
-            f"pad block {pad_index} has {len(pads)} points, cannot cover {len(balls)} balls"
-        )
-    mapping = {x: balls.points[i % len(balls)] for i, x in enumerate(pads.points)}
-    return Surjection(pads, balls, mapping)
-
-
-def oracle_dominating_map(tree, low, high, schedule) -> dict[str, str]:
-    (alpha, xi), (beta, delta) = low, high
-    splitter = oracle_make_splitter(xi, delta, schedule)
-    cover = oracle_make_ball_cover(tree, alpha, xi, schedule) if xi < delta else None
-    mapping = {b: tree.ancestor(beta, b, alpha) for b in tree.levels[beta].points}
-    for x in oracle_pad_space(schedule, delta).points:
-        p, tag = splitter[x]
-        mapping[x] = p if tag == 1 else cover(p)
-    return mapping
-
-
-def oracle_dominate_arrow(arrow, dst, schedule, *, ball_level=None, pad_floor=None):
-    tree = arrow.src.base
-    h = arrow.src
-    alpha, xi = dst.ball_level, dst.pad_index
-    beta = min(tree.depth, max(alpha + 1, h.level)) if ball_level is None else ball_level
-    if beta < max(alpha, h.level) or beta > tree.depth:
-        raise DepthError(f"ball level {beta} cannot host the factored arrow")
-
-    ball_need = {z: len(arrow.q.fiber(z)) for z in dst.ball_labels}
-    pad_need = {p: len(arrow.q.fiber(p)) for p in dst.pad_labels}
-    delta = max(xi + 1, pad_floor if pad_floor is not None else 0)
-    while True:
-        splitter = oracle_make_splitter(xi, delta, schedule)
-        cover = oracle_make_ball_cover(tree, alpha, xi, schedule)
-        hi_points = oracle_pad_space(schedule, delta).points
-        tag1: dict[str, list[str]] = {p: [] for p in dst.pad_labels}
-        tag0: dict[str, list[str]] = {z: [] for z in dst.ball_labels}
-        for x in hi_points:
-            p, tag = splitter[x]
-            if tag == 1:
-                tag1[p].append(x)
-            else:
-                tag0[cover(p)].append(x)
-        short = [p for p in dst.pad_labels if len(tag1[p]) < pad_need[p]]
-        short += [z for z in dst.ball_labels if len(tag0[z]) < ball_need[z]]
-        if not short:
-            break
-        delta += 1
-
-    padded = make_padded_object(tree, beta, delta, schedule)
-    mapping = {}
-    for b in padded.ball_labels:
-        mapping[b] = value_on_ball(h, beta, b)
-    h_image = {point_value(h, x) for x in h.base.points}
-    for p in dst.pad_labels:
-        fiber = arrow.q.fiber(p)
-        for i, x in enumerate(tag1[p]):
-            mapping[x] = fiber[i % len(fiber)]
-    for z in dst.ball_labels:
-        fiber = arrow.q.fiber(z)
-        reached = [y for y in fiber if y in h_image]
-        fresh = [y for y in fiber if y not in h_image]
-        block = tag0[z]
-        if fresh and reached:
-            head, tail = block[: -len(fresh)], block[-len(fresh):]
-        elif fresh:
-            head, tail = [], block
-        else:
-            head, tail = block, []
-        for i, x in enumerate(head):
-            mapping[x] = reached[i % len(reached)]
-        for i, x in enumerate(tail):
-            mapping[x] = fresh[i % len(fresh)]
-    return padded, mapping
-
-
 schedules = st.builds(PaddingSchedule, st.integers(2, 3), st.integers(2, 3))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10_000), schedules, st.data())
 def test_dominating_arrow_matches_pad_block_oracle(seed, schedule, data):
+    # the canonical map dominate_arrow checks itself against: balls up the
+    # `above` column, pads along `pad_routes`
     tree = random_tree(seed, max_depth=3, max_points=12)
     beta = data.draw(st.integers(0, tree.depth))
     alpha = data.draw(st.integers(0, beta))
     xi = data.draw(st.integers(0, 3))
-    delta = data.draw(st.integers(xi, xi + 2))
+    delta = data.draw(st.integers(xi + 1, xi + 3))
+    dst = make_padded_object(tree, alpha, xi, schedule)
+    pads = make_padded_object(tree, beta, delta, schedule).pad_labels
     try:
-        want = oracle_dominating_map(tree, (alpha, xi), (beta, delta), schedule)
+        want = dominating_arrow(tree, (alpha, xi), (beta, delta), schedule).q.mapping
     except DepthError:
         with pytest.raises(DepthError, match="cover"):
-            dominating_arrow(tree, (alpha, xi), (beta, delta), schedule)
+            pad_routes(len(pads), dst)
         return
-    assert dominating_arrow(tree, (alpha, xi), (beta, delta), schedule).q.mapping == want
+    canonical = tree.above(beta, alpha)
+    canonical.update(zip(pads, pad_routes(len(pads), dst)))
+    assert canonical == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -523,6 +426,6 @@ def test_dominate_arrow_matches_pad_block_oracle(seed, schedule, extra, data):
         dst = build.padded[task.stage]
         calls.append((task.arrow, dst, {}, dominate_arrow(task.arrow, dst, schedule)))
     for arrow, dst, options, (padded, g) in calls:
-        want_padded, want_map = oracle_dominate_arrow(arrow, dst, schedule, **options)
+        want_padded, want_map = oracles.dominate_arrow(arrow, dst, schedule, **options)
         assert padded.pad_index == want_padded.pad_index
         assert g.q.mapping == want_map

@@ -253,7 +253,7 @@ def test_extend_two_point_swap():
 def test_threads_are_plain_tuples(pres_k4, tree_k4):
     subset = presentation_from_subset(binary_tree(3), ["000", "111"])
     level_maps = extend_homeo(PartialHomeo(pres_k4, pres_k4, {x: x for x in tree_k4.points}))
-    arrow = retract_onto(pres_k4)
+    arrow, _ = retract_onto(pres_k4)
     threads = [
         *pres_k4.eta.values(),
         *subset.eta.values(),
@@ -297,14 +297,12 @@ def test_extend_rejects_depth_mismatch(tree_k4, schedule):
 
 def test_retract_one_point(schedule):
     pres = embed_generic(one_point_tree(), 3, schedule)
-    arrow = retract_onto(pres)
-    table = retraction_table(pres.ambient, arrow)
+    _, table = retract_onto(pres)
     assert set(table.values()) == {"o"}
 
 
 def test_retract_k4_left_inverse_exhaustive(pres_k4, tree_k4):
-    arrow = retract_onto(pres_k4)
-    table = retraction_table(pres_k4.ambient, arrow)
+    arrow, table = retract_onto(pres_k4)
     for x in tree_k4.points:
         assert table[pres_k4.eta_point(x)] == x
     # surjective: it has a right inverse
@@ -328,8 +326,8 @@ def test_retract_k4_left_inverse_exhaustive(pres_k4, tree_k4):
 def test_point_table_retraction_equals_the_thread_by_thread_arrow(seed, extra_depth):
     tree = random_tree(seed, max_depth=3, max_points=12)
     pres = embed_generic(tree, tree.depth + extra_depth, PaddingSchedule())
-    arrow = retract_onto(pres)
-    table = retraction_table(pres.ambient, arrow)
+    arrow, table = retract_onto(pres)
+    assert table == retraction_table(pres.ambient, arrow)
     base_chains = thread_embedding(tree)
     for w, thread in thread_embedding(pres.ambient).items():
         image = apply_sequence_arrow(arrow, thread)
@@ -344,7 +342,7 @@ def test_point_table_retraction_equals_the_thread_by_thread_arrow(seed, extra_de
 
 def test_retract_subset_presentation_is_nearest_point(tree_b3):
     pres = presentation_from_subset(tree_b3, ["000", "111"])
-    table = retraction_table(pres.ambient, retract_onto(pres))
+    _, table = retract_onto(pres)
     assert table["001"] == "000"
     assert table["110"] == "111"
     assert table["000"] == "000" and table["111"] == "111"

@@ -46,7 +46,7 @@ from ultrafraisse.fixtures import binary_tree, k4
 from ultrafraisse.generic import lift_through_generic, presentation_from_subset
 from ultrafraisse.spaces import FiniteSpace, Surjection
 
-from oracles import random_tree
+from oracles import children, random_tree
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 GRID = Path(__file__).parent / "golden" / "grid.json"
@@ -155,18 +155,18 @@ def _automorphism(tree, rng: random.Random) -> dict[str, str]:
     shape = {(tree.depth, p): "()" for p in tree.points}
     for level in range(tree.depth - 1, -1, -1):
         for ball in tree.levels[level].points:
-            kids = sorted(shape[level + 1, c] for c in tree.children(level, ball))
+            kids = sorted(shape[level + 1, c] for c in children(tree, level, ball))
             shape[level, ball] = "(" + "".join(kids) + ")"
     image = {ball: ball for ball in tree.levels[0].points}
     for level in range(tree.depth):
         below = {}
         for ball, target in image.items():
             spare: dict[str, list[str]] = {}
-            for c in tree.children(level, target):
+            for c in children(tree, level, target):
                 spare.setdefault(shape[level + 1, c], []).append(c)
             for group in spare.values():
                 rng.shuffle(group)
-            for c in tree.children(level, ball):
+            for c in children(tree, level, ball):
                 below[c] = spare[shape[level + 1, c]].pop()
         image = below
     return image

@@ -10,15 +10,12 @@ from hypothesis import given, settings, strategies as st
 from ultrafraisse import engine, serial
 from ultrafraisse.balltree import (
     BallTree,
-    NowhereDenseFailure,
     NowhereDenseWitness,
     ball_quotients,
     factoring_level,
     from_sequence,
     is_uniformly_nowhere_dense,
-    met_balls,
     nearest_points,
-    u_metric,
     validate_witness,
 )
 from ultrafraisse.cli import _canonical_probes
@@ -36,13 +33,12 @@ from ultrafraisse.generic import (
     eta_threads,
     presentation_from_subset,
     retract_onto,
-    retraction_table,
 )
 from ultrafraisse.sequences import InverseSequence, SlicedSequence, check_coherent
 from ultrafraisse.slices import SliceArrow, SliceObject
-from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pair_label, pullback
+from ultrafraisse.spaces import FiniteSpace, PointMap, Surjection, compose, identity, pullback
 
-from oracles import ancestor, point_value, random_tree, value_on_ball
+import oracles
 
 
 def shuffled_rebuild(seed: int, **sizes):
@@ -51,7 +47,7 @@ def shuffled_rebuild(seed: int, **sizes):
     The root level is dropped first whenever level 1 has several balls, so
     from_sequence has to prepend its own root.
     """
-    tree = random_tree(seed, **sizes)
+    tree = oracles.random_tree(seed, **sizes)
     rng = random.Random(seed)
     spaces = []
     for level in tree.levels:
@@ -66,15 +62,7 @@ def shuffled_rebuild(seed: int, **sizes):
 
 
 def trees(seed: int):
-    return random_tree(seed), shuffled_rebuild(seed)
-
-
-def scan_fiber(f: PointMap, value: str) -> tuple[str, ...]:
-    return tuple(p for p in f.dom.points if f.mapping[p] == value)
-
-
-def scan_descendants(tree, level: int, label: str, beta: int) -> tuple[str, ...]:
-    return tuple(b for b in tree.levels[beta].points if ancestor(tree, beta, b, level) == label)
+    return oracles.random_tree(seed), shuffled_rebuild(seed)
 
 
 labels = st.text(alphabet="ab01.", max_size=4)
@@ -110,7 +98,7 @@ def test_parent_fibers_match_domain_scan(seed):
     for tree in trees(seed):
         for par in tree.parents:
             for q in par.cod.points + ("foreign",):
-                assert par.fiber(q) == scan_fiber(par, q)
+                assert par.fiber(q) == oracles.fiber(par, q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,20 +109,25 @@ def test_fibers_of_any_map_match_domain_scan(n_dom, n_cod, data):
     values = data.draw(st.lists(st.sampled_from(cod.points), min_size=n_dom, max_size=n_dom))
     f = PointMap(dom, cod, dict(zip(dom.points, values)))
     for q in cod.points:
-        assert f.fiber(q) == scan_fiber(f, q)
+        assert f.fiber(q) == oracles.fiber(f, q)
     assert sum(len(f.fiber(q)) for q in cod.points) == n_dom
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_descendants_match_chain_scan(seed):
+    """The one test of `descendants` and of `children` and `leafset`, its
+    cases at level + 1 and at the depth."""
     for tree in trees(seed):
         for level in range(tree.depth + 1):
             for label in tree.levels[level].points:
                 for beta in range(level, tree.depth + 1):
-                    want = scan_descendants(tree, level, label, beta)
+                    want = oracles.descendants(tree, level, label, beta)
                     assert tree.descendants(level, label, beta) == want
                     assert want
+                assert tree.leafset(level, label) == oracles.leafset(tree, level, label)
+                if level < tree.depth:
+                    assert tree.children(level, label) == oracles.children(tree, level, label)
         assert tree.descendants(0, "foreign", tree.depth) == ()
 
 
@@ -150,22 +143,6 @@ def test_coherence_builds_at_most_one_map_per_step(monkeypatch):
     monkeypatch.setattr(PointMap, "__init__", counting_init)
     assert check_coherent(seq).ok
     assert len(built) <= seq.length + 1
-
-
-def pairwise_rejection(src_pres, dst_pres, mapping: dict[str, str]) -> str | None:
-    """The pairwise definition of a ball-respecting bijection: the message
-    naming its first failing pair, or None when every pair agrees."""
-    src, dst = src_pres.space, dst_pres.space
-    common = min(src.depth, dst.depth)
-    for x in src.points:
-        for y in src.points:
-            du, dv = u_metric(src, x, y), u_metric(dst, mapping[x], mapping[y])
-            if min(du, common) != min(dv, common):
-                return (
-                    f"mapping breaks ball structure at level {min(du, dv) + 1}: "
-                    f"pair ({x!r}, {y!r}) meets at {du}, images meet at {dv}"
-                )
-    return None
 
 
 PREFIXES = [format(i, f"0{k}b") if k else "" for k in range(5) for i in range(2**k)]
@@ -204,103 +181,13 @@ def test_partial_homeo_matches_pairwise_definition(case):
     src = presentation_from_subset(binary_tree(5), src_points)
     dst = presentation_from_subset(binary_tree(dst_depth), dst_points)
     mapping = dict(zip(src_points, dst_points))
-    want = pairwise_rejection(src, dst, mapping)
+    want = oracles.pairwise_rejection(src, dst, mapping)
     if want is None:
         PartialHomeo(src, dst, mapping)
     else:
         with pytest.raises(InputError) as rejected:
             PartialHomeo(src, dst, mapping)
         assert str(rejected.value) == want
-
-
-# Reference versions of the subset searches, as they were written before the
-# met-ball pass: every "ball avoids the subset" test builds the ball's leaf set.
-
-
-def ref_avoiding_descendants(tree, level, label, beta, avoid):
-    return tuple(
-        b for b in tree.descendants(level, label, beta) if not (tree.leafset(beta, b) & avoid)
-    )
-
-
-def ref_is_uniformly_nowhere_dense(tree, subset):
-    avoid = frozenset(subset)
-    unknown = avoid - set(tree.points)
-    if unknown:
-        raise ValueError(f"subset point {sorted(unknown)[0]!r} is not in the tree")
-    target_levels = []
-    choices = []
-    for alpha in range(tree.depth):
-        found_beta = None
-        found_choice = {}
-        for beta in range(alpha + 1, tree.depth + 1):
-            choice = {}
-            for label in tree.levels[alpha].points:
-                free = ref_avoiding_descendants(tree, alpha, label, beta, avoid)
-                if not free:
-                    break
-                choice[label] = free[0]
-            else:
-                found_beta, found_choice = beta, choice
-                break
-        if found_beta is None:
-            worst = next(
-                label
-                for label in tree.levels[alpha].points
-                if not ref_avoiding_descendants(tree, alpha, label, tree.depth, avoid)
-            )
-            return NowhereDenseFailure(level=alpha, ball=worst)
-        target_levels.append(found_beta)
-        choices.append(found_choice)
-    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
-
-
-def ref_validate_witness(tree, subset, witness):
-    avoid = frozenset(subset)
-    issues = []
-    if len(witness.target_levels) != tree.depth or len(witness.choices) != tree.depth:
-        return (f"witness covers {len(witness.target_levels)} levels, tree needs {tree.depth}",)
-    for alpha in range(tree.depth):
-        beta = witness.target_levels[alpha]
-        if not alpha < beta <= tree.depth:
-            issues.append(f"level {alpha}: target level {beta} not in ({alpha}, {tree.depth}]")
-            continue
-        choice = witness.choices[alpha]
-        for label in tree.levels[alpha].points:
-            picked = choice.get(label)
-            if picked is None:
-                issues.append(f"level {alpha}: no choice for ball {label!r}")
-                continue
-            if picked not in tree.levels[beta]:
-                issues.append(f"level {alpha}: choice {picked!r} is not a level-{beta} ball")
-                continue
-            if tree.ancestor(beta, picked, alpha) != label:
-                issues.append(f"level {alpha}: choice {picked!r} is not inside ball {label!r}")
-            if tree.leafset(beta, picked) & avoid:
-                issues.append(f"level {alpha}: choice {picked!r} meets the subset")
-    return tuple(issues)
-
-
-def ref_factoring_level(tree, point_map):
-    missing = [p for p in tree.points if p not in point_map]
-    if missing:
-        raise ValueError(f"map undefined at point {missing[0]!r}")
-    for level in range(tree.depth + 1):
-        if all(
-            len({point_map[p] for p in tree.leafset(level, label)}) == 1
-            for label in tree.levels[level].points
-        ):
-            return level, ref_ball_values(tree, level, point_map)
-
-
-def ref_ball_values(tree, level, point_map):
-    out = {}
-    for label in tree.levels[level].points:
-        values = {point_map[p] for p in tree.leafset(level, label)}
-        if len(values) != 1:
-            raise ValueError(f"map is not constant on ball {label!r} at level {level}")
-        out[label] = values.pop()
-    return out
 
 
 def outcome(fn, *args):
@@ -316,7 +203,7 @@ def tree_and_subset(draw):
     """A random tree (shuffled and rebuilt half the time) and a subset of its
     points whose density ranges from empty to every point."""
     seed = draw(st.integers(0, 10_000))
-    tree = random_tree(seed) if draw(st.booleans()) else shuffled_rebuild(seed)
+    tree = oracles.random_tree(seed) if draw(st.booleans()) else shuffled_rebuild(seed)
     density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 1.0]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     subset = [p for p in tree.points if rng.random() < density]
@@ -326,13 +213,17 @@ def tree_and_subset(draw):
 @settings(max_examples=150, deadline=None)
 @given(tree_and_subset())
 def test_nowhere_density_search_matches_leafset_search(case):
-    tree, subset, rng = case
-    want = ref_is_uniformly_nowhere_dense(tree, subset)
-    assert is_uniformly_nowhere_dense(tree, subset) == want
+    """Target levels, choices in level order, failures and the foreign-point error."""
+    tree, subset, _ = case
+    want = oracles.is_uniformly_nowhere_dense(tree, subset)
+    got = is_uniformly_nowhere_dense(tree, subset)
+    assert got == want
+    if isinstance(want, NowhereDenseWitness):
+        assert [list(c.items()) for c in got.choices] == [list(c.items()) for c in want.choices]
     assert is_uniformly_nowhere_dense(tree, iter(subset)) == want
     foreign = subset + ["foreign", "zz"]
     assert outcome(is_uniformly_nowhere_dense, tree, foreign) == outcome(
-        ref_is_uniformly_nowhere_dense, tree, foreign
+        oracles.is_uniformly_nowhere_dense, tree, foreign
     )
 
 
@@ -340,7 +231,7 @@ def random_witness(tree, subset, rng):
     """The searched witness when there is one, then corrupted at random: target
     levels out of range, choices dropped, outside their ball, at the wrong
     level or meeting the subset."""
-    found = ref_is_uniformly_nowhere_dense(tree, subset)
+    found = oracles.is_uniformly_nowhere_dense(tree, subset)
     rate = rng.choice([0.0, 0.02, 0.1])
     levels, choices = [], []
     for alpha in range(tree.depth):
@@ -349,7 +240,7 @@ def random_witness(tree, subset, rng):
         else:
             beta, choice = rng.randint(alpha + 1, tree.depth), {}
             for label in tree.levels[alpha].points:
-                choice[label] = rng.choice(tree.descendants(alpha, label, beta))
+                choice[label] = rng.choice(oracles.descendants(tree, alpha, label, beta))
         for label in list(choice):
             roll = rng.random() / rate if rate else 1.0
             if roll < 0.3:
@@ -374,7 +265,7 @@ def test_validate_witness_matches_leafset_check(case):
     for _ in range(3):
         witness = random_witness(tree, subset, rng)
         got = validate_witness(tree, subset + ["foreign"], witness).issues
-        assert got == ref_validate_witness(tree, subset + ["foreign"], witness)
+        assert got == oracles.validate_witness(tree, subset + ["foreign"], witness)
 
 
 def random_point_map(tree, rng):
@@ -400,7 +291,7 @@ def test_factoring_level_and_ball_values_match_leafset_versions(case):
     for _ in range(3):
         point_map = random_point_map(tree, rng)
         got = outcome(factoring_level, tree, point_map)
-        assert got == outcome(ref_factoring_level, tree, point_map)
+        assert got == outcome(oracles.factoring_level, tree, point_map)
         if type(got[1]) is dict:  # the ball values, in level order
             assert list(got[1]) == list(tree.levels[got[0]].points)
 
@@ -418,8 +309,8 @@ def test_point_value_matches_ancestor_lookup(case):
     for beta in range(level, tree.depth + 1):
         got = phi.values(beta)
         assert list(got) == list(tree.levels[beta].points)
-        assert got == {b: value_on_ball(phi, beta, b) for b in tree.levels[beta].points}
-    assert phi.values(tree.depth) == {p: point_value(phi, p) for p in tree.points}
+        assert got == {b: oracles.value_on_ball(phi, beta, b) for b in tree.levels[beta].points}
+    assert phi.values(tree.depth) == {p: oracles.point_value(phi, p) for p in tree.points}
     for beta in range(level):
         message = re.escape(f"balls at level {beta} are too coarse for level {level}")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -447,27 +338,12 @@ def test_above_matches_ancestor_lookups(seed, sorted_keys):
             column = tree.above(level, alpha)
             assert list(column) == list(tree.levels[level].points)
             for b, up in column.items():
-                assert up == ancestor(tree, level, b, alpha) == tree.ancestor(level, b, alpha)
+                assert up == oracles.ancestor(tree, level, b, alpha) == tree.ancestor(level, b, alpha)
     with pytest.raises(ValueError, match="bad ancestor request"):
         tree.above(0, 1)
     message = re.escape(f"'foreign' is not a ball at level {tree.depth}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         tree.ancestor(tree.depth, "foreign", 0)
-
-
-def ref_commute_error(arrow_src, arrow_dst, q):
-    """The first commutation failure read through two ancestor lookups per
-    ball, as SliceArrow first checked it, or None."""
-    level = max(arrow_src.level, arrow_dst.level)
-    for label in arrow_src.base.levels[level].points:
-        got = q(value_on_ball(arrow_src, level, label))
-        want = value_on_ball(arrow_dst, level, label)
-        if got != want:
-            return (
-                f"arrow does not commute over the base: ball {label!r} "
-                f"maps to {got!r}, expected {want!r}"
-            )
-    return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -490,7 +366,7 @@ def test_slice_arrow_check_matches_ancestor_lookups(case, perturb):
     q = Surjection(source, target, {"s0": "t0", "s1": "t1", "s2": "t0", "s3": "t1"})
     # dst commutes with src where it factors (dst at the finer level), else at random
     values = {
-        b: q(value_on_ball(src, dst_level, b)) if dst_level >= src_level else rng.choice(target.points)
+        b: q(oracles.value_on_ball(src, dst_level, b)) if dst_level >= src_level else rng.choice(target.points)
         for b in tree.levels[dst_level].points
     }
     if perturb:
@@ -502,38 +378,12 @@ def test_slice_arrow_check_matches_ancestor_lookups(case, perturb):
         target=target,
         quotient_map=PointMap(tree.levels[dst_level], target, values),
     )
-    want = ref_commute_error(src, dst, q)
+    want = oracles.commute_error(src, dst, q)
     if want is None:
         SliceArrow(src, dst, q)
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             SliceArrow(src, dst, q)
-
-
-def validated_compose(g: PointMap, f: PointMap) -> PointMap:
-    """compose with the composite re-checked by the map constructor."""
-    cls = Surjection if isinstance(f, Surjection) and isinstance(g, Surjection) else PointMap
-    return cls(f.dom, g.cod, {p: g(f(p)) for p in f.dom.points})
-
-
-def ref_pullback(q1: Surjection, q2: Surjection):
-    """The pullback by testing every pair of X x Y."""
-    x_space, y_space = q1.dom, q2.dom
-    pairs = [(x, y) for x in x_space.points for y in y_space.points if q1(x) == q2(y)]
-    w = FiniteSpace(
-        id=f"pb({x_space.id},{y_space.id})", points=tuple(pair_label(x, y) for x, y in pairs)
-    )
-    f1 = Surjection(w, x_space, {pair_label(x, y): x for x, y in pairs})
-    g1 = Surjection(w, y_space, {pair_label(x, y): y for x, y in pairs})
-    return w, f1, g1
-
-
-def ref_bonding(seq: InverseSequence, a: int, b: int) -> PointMap:
-    """steps[a] o ... o steps[b-1], folded from the identity as a fresh map."""
-    out: PointMap = identity(seq.spaces[b])
-    for level in range(b - 1, a - 1, -1):
-        out = validated_compose(seq.steps[level], out)
-    return out
 
 
 @st.composite
@@ -563,7 +413,7 @@ def test_pullback_matches_pairwise_definition(data):
     q1 = data.draw(point_maps(x, z, onto=True))
     q2 = data.draw(point_maps(y, z, onto=True))
     w, f1, g1 = pullback(q1, q2)
-    rw, rf1, rg1 = ref_pullback(q1, q2)
+    rw, rf1, rg1 = oracles.pullback(q1, q2)
     assert (w.id, w.points) == (rw.id, rw.points)
     for got, want in ((f1, rf1), (g1, rg1)):
         assert type(got) is type(want) is Surjection
@@ -576,11 +426,11 @@ def test_compose_matches_validated_construction(data):
     a, b, c = data.draw(spaces("a", min_size=4)), data.draw(spaces("b", 2, 4)), data.draw(spaces("c", 1, 2))
     f = data.draw(point_maps(a, b, onto=data.draw(st.booleans())))
     g = data.draw(point_maps(b, c, onto=data.draw(st.booleans())))
-    got, want = compose(g, f), validated_compose(g, f)
+    got, want = compose(g, f), oracles.compose(g, f)
     assert type(got) is type(want)
     assert got == want and list(got.mapping) == list(a.points)
     for q in c.points:
-        assert got.fiber(q) == scan_fiber(want, q)
+        assert got.fiber(q) == oracles.fiber(want, q)
     with pytest.raises(ValueError, match="cannot compose"):
         compose(f, g)
 
@@ -588,7 +438,7 @@ def test_compose_matches_validated_construction(data):
 def check_bondings(seq: InverseSequence) -> None:
     for b in range(seq.length + 1):
         for a in range(b + 1):
-            got, want = seq.bonding(a, b), ref_bonding(seq, a, b)
+            got, want = seq.bonding(a, b), oracles.bonding(seq, a, b)
             assert type(got) is type(want)
             assert got == want
 
@@ -670,26 +520,6 @@ def test_build_checks_each_step_once(monkeypatch):
     assert (len(sliced_checks), len(step_checks)) == (1, 8)
 
 
-def recursive_saturate(needed, free, candidates):
-    """The augmenting-path matching by recursion, as the build first had it."""
-    owner: dict[str, str] = {}
-
-    def assign(y, seen):
-        for x in free:
-            if x in seen or y not in candidates[x]:
-                continue
-            seen.add(x)
-            if x not in owner or assign(owner[x], seen):
-                owner[x] = y
-                return True
-        return False
-
-    for y in needed:
-        if not assign(y, set()):
-            return None, y
-    return owner, ""
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_iterative_saturate_matches_recursive_version(data):
@@ -700,7 +530,7 @@ def test_iterative_saturate_matches_recursive_version(data):
         for x in free
     }
     needed = data.draw(st.lists(st.sampled_from(targets), unique=True))
-    got, want = engine._saturate(needed, free, candidates), recursive_saturate(needed, free, candidates)
+    got, want = engine._saturate(needed, free, candidates), oracles.saturate(needed, free, candidates)
     assert got == want
     if got[0] is not None:
         assert list(got[0].items()) == list(want[0].items())
@@ -715,18 +545,10 @@ def test_saturate_follows_paths_longer_than_the_recursion_limit():
     candidates[f"x{n}"] = frozenset({f"y{n}"})
     needed = [f"y{i}" for i in range(1, n + 1)] + ["y0"]
     with pytest.raises(RecursionError):
-        recursive_saturate(needed, free, candidates)
+        oracles.saturate(needed, free, candidates)
     owner, stuck = engine._saturate(needed, free, candidates)
     assert stuck == ""
     assert owner == {f"x{i}": f"y{i}" for i in range(n + 1)}
-
-
-def ref_nearest(tree, anchors):
-    """The anchor maximising (u_metric, -position), as retract_onto first chose it."""
-    return {
-        w: max(anchors, key=lambda x: (u_metric(tree, w, x), -anchors.index(x)))
-        for w in tree.points
-    }
 
 
 @settings(max_examples=150, deadline=None)
@@ -734,68 +556,16 @@ def ref_nearest(tree, anchors):
 def test_nearest_points_match_the_metric_maximum(case):
     tree, _, rng = case
     anchors = rng.sample(tree.points, rng.randint(1, len(tree.points)))
-    assert nearest_points(tree, anchors) == ref_nearest(tree, anchors)
+    assert nearest_points(tree, anchors) == oracles.nearest_points(tree, anchors)
 
 
 def test_retraction_sends_each_point_to_its_nearest_embedded_point():
-    for tree in (k4(), binary_tree(3), random_tree(5, max_depth=3, max_points=12)):
+    for tree in (k4(), binary_tree(3), oracles.random_tree(5, max_depth=3, max_points=12)):
         pres = embed_generic(tree, 4, PaddingSchedule())
         anchors = [pres.eta_point(x) for x in tree.points]
         base_of = dict(zip(anchors, tree.points))
-        want = {w: base_of[e] for w, e in ref_nearest(pres.ambient, anchors).items()}
-        assert retraction_table(pres.ambient, retract_onto(pres)) == want
-
-
-def old_probe_search(sliced, probe):
-    """verify_fraisse's probe loop from before probes and tasks shared one
-    search, kept verbatim: the first stage with a witness, and the witness."""
-    for level in range(sliced.seq.length + 1):
-        forced, conflict = engine._forced_values(sliced.phis[level], probe)
-        if forced is None:
-            continue
-        free = [x for x in sliced.seq.spaces[level].points if x not in forced]
-        covered = set(forced.values())
-        needed = [y for y in probe.target.points if y not in covered]
-        if len(needed) > len(free):
-            continue
-        mapping = dict(forced)
-        for i, x in enumerate(free):
-            mapping[x] = needed[i] if i < len(needed) else probe.target.points[0]
-        q = Surjection(sliced.seq.spaces[level], probe.target, mapping)
-        SliceArrow(sliced.phis[level], probe, q)
-        return level, q
-    return None, None
-
-
-def old_task_beta(sliced, task):
-    """The first stage at which the task search from before the shared search
-    (kept verbatim, filling with the least label of the bonding fiber) finds
-    a witness, or None."""
-    for beta in range(task.stage, sliced.seq.length + 1):
-        phi = sliced.phis[beta]
-        target = task.arrow.src.target
-        forced, conflict = engine._forced_values(phi, task.arrow.src)
-        if forced is None:
-            continue
-        bond = sliced.seq.bonding(task.stage, beta)
-        candidates = {
-            x: frozenset(task.arrow.q.fiber(bond(x))) for x in sliced.seq.spaces[beta].points
-        }
-        if any(y not in candidates[x] for x, y in forced.items()):
-            continue
-        free = [x for x in sliced.seq.spaces[beta].points if x not in forced]
-        covered = set(forced.values())
-        needed = [y for y in target.points if y not in covered]
-        owner, stuck = engine._saturate(needed, free, candidates)
-        if owner is None:
-            continue
-        mapping = dict(forced)
-        for x in free:
-            mapping[x] = owner[x] if x in owner else sorted(candidates[x])[0]
-        g = Surjection(sliced.seq.spaces[beta], target, mapping)
-        assert compose(task.arrow.q, g) == bond
-        return beta
-    return None
+        want = {w: base_of[e] for w, e in oracles.nearest_points(pres.ambient, anchors).items()}
+        assert retract_onto(pres)[1] == want
 
 
 def random_surjective_probe(tree, rng):
@@ -837,7 +607,7 @@ def test_probe_witnesses_match_the_old_probe_loop(seed):
         report = verify_fraisse(sliced, probes=probes)
         for probe, result in zip(probes, report.probes):
             assert result.status == "witnessed"
-            assert (result.level, result.mapping) == old_probe_search(sliced, probe)
+            assert (result.level, result.mapping) == oracles.probe_search(sliced, probe)
 
 
 @settings(max_examples=40, deadline=None)
@@ -849,7 +619,7 @@ def test_task_witnesses_keep_the_old_stage_and_compose_to_the_bonding(seed):
         report = verify_fraisse(sliced, tasks)
         assert report.tasks[0].status == "witnessed"  # the split the build absorbed
         for task, result in zip(tasks, report.tasks):
-            assert result.beta == old_task_beta(sliced, task)
+            assert result.beta == oracles.task_beta(sliced, task)
             if result.beta is None:
                 assert result.status == "failed"
                 continue
@@ -859,100 +629,14 @@ def test_task_witnesses_keep_the_old_stage_and_compose_to_the_bonding(seed):
             )
 
 
-# The level passes of the subset-presentation path against the code they
-# replaced, kept verbatim below as the oracles: the per-ball search through
-# `descendants`, the per-point eta threads, and the per-point slice check.
-
-
-def old_is_uniformly_nowhere_dense(tree, subset):
-    avoid = frozenset(subset)
-    unknown = [p for p in avoid if p not in tree.levels[-1]]
-    if unknown:
-        raise ValueError(f"subset point {min(unknown)!r} is not in the tree")
-    met = met_balls(tree, avoid)
-    never = tree.depth + 1
-    # first[level][ball] for the met balls only; a ball that avoids the
-    # subset is free at its own level
-    first: list[dict[str, int]] = [{} for _ in tree.levels]
-    first[-1] = dict.fromkeys(met[-1], never)
-    for level in range(tree.depth - 1, -1, -1):
-        below = first[level + 1]
-        first[level] = {
-            b: min(below.get(c, level + 1) for c in tree.parents[level].fiber(b))
-            for b in met[level]
-        }
-    target_levels = []
-    choices = []
-    for alpha in range(tree.depth):
-        beta = max(alpha + 1, max(first[alpha].values(), default=0))
-        if beta == never:
-            worst = next(b for b in tree.levels[alpha].points if first[alpha].get(b) == never)
-            return NowhereDenseFailure(level=alpha, ball=worst)
-        target_levels.append(beta)
-        choices.append(
-            {
-                label: next(b for b in tree.descendants(alpha, label, beta) if b not in met[beta])
-                for label in tree.levels[alpha].points
-            }
-        )
-    return NowhereDenseWitness(tuple(target_levels), tuple(choices))
-
-
-def old_eta_threads(sliced, ambient):
-    root = ambient.levels[0].points if ambient.depth > sliced.seq.length else ()
-    return {
-        x: root + tuple(point_value(phi, x) for phi in sliced.phis)
-        for x in sliced.base.points
-    }
-
-
-def old_slice_check(seq, phis):
-    """The pointwise step check of `SlicedSequence.__post_init__`."""
-    base = phis[0].base
-    for a, step in enumerate(seq.steps):
-        upper, lower = phis[a + 1], phis[a]
-        for point in base.points:
-            if step(point_value(upper, point)) != point_value(lower, point):
-                raise ValueError(
-                    f"step {a} does not carry phis[{a + 1}] to phis[{a}] at base point {point!r}"
-                )
-
-
-def old_embed_choices(pres):
-    """The per-ball children scan that `embed_generic` made its witness with."""
-    ambient = pres.ambient
-    choices = []
-    for alpha in range(ambient.depth):
-        marked = pres.holders(alpha + 1)
-        choice = {}
-        for label in ambient.levels[alpha].points:
-            free = [c for c in ambient.children(alpha, label) if c not in marked]
-            if not free:
-                raise AssertionError("every padded stage keeps a pad child under each ball")
-            choice[label] = free[0]
-        choices.append(choice)
-    return choices
-
-
-@settings(max_examples=150, deadline=None)
-@given(tree_and_subset())
-def test_nowhere_density_levels_choices_and_failures_match_the_old_search(case):
-    tree, subset, _ = case
-    got = is_uniformly_nowhere_dense(tree, subset)
-    want = old_is_uniformly_nowhere_dense(tree, subset)
-    assert got == want
-    if isinstance(want, NowhereDenseWitness):
-        assert [list(c.items()) for c in got.choices] == [list(c.items()) for c in want.choices]
-
-
 @settings(max_examples=60, deadline=None)
 @given(tree_and_subset())
 def test_eta_threads_of_subset_presentations_match_the_pointwise_threads(case):
     tree, subset, _ = case
-    if not subset or not isinstance(old_is_uniformly_nowhere_dense(tree, subset), NowhereDenseWitness):
+    if not subset or not isinstance(oracles.is_uniformly_nowhere_dense(tree, subset), NowhereDenseWitness):
         return
     pres = presentation_from_subset(tree, subset)
-    got, want = eta_threads(pres.sliced, pres.ambient), old_eta_threads(pres.sliced, pres.ambient)
+    got, want = eta_threads(pres.sliced, pres.ambient), oracles.eta_threads(pres.sliced, pres.ambient)
     assert list(got.items()) == list(want.items())
 
 
@@ -963,14 +647,14 @@ def test_eta_threads_and_embed_choices_of_builds_match_the_old_scans(seed):
     for tree in trees(seed):
         sliced, _ = fraisse_case(tree, rng)
         ambient = from_sequence(sliced.seq)
-        got, want = eta_threads(sliced, ambient), old_eta_threads(sliced, ambient)
+        got, want = eta_threads(sliced, ambient), oracles.eta_threads(sliced, ambient)
         assert list(got.items()) == list(want.items())
-    small = random_tree(seed, max_depth=3, max_points=8)
+    small = oracles.random_tree(seed, max_depth=3, max_points=8)
     pres = embed_generic(small, small.depth + 1, PaddingSchedule())
     witness = is_uniformly_nowhere_dense(pres.ambient, [pres.eta_point(x) for x in small.points])
     assert witness.target_levels == tuple(range(1, pres.ambient.depth + 1))
     assert [list(c.items()) for c in witness.choices] == [
-        list(c.items()) for c in old_embed_choices(pres)
+        list(c.items()) for c in oracles.embed_choices(pres)
     ]
 
 
@@ -999,7 +683,7 @@ def test_sliced_sequence_names_the_first_offending_point_as_before(seed, count, 
         seq = ball_quotients(tree)
         phis = tuple(SliceObject(tree, a, level, identity(level)) for a, level in enumerate(tree.levels))
     bad = corrupt_steps(seq, rng, count)
-    got, want = outcome(SlicedSequence, bad, phis), outcome(old_slice_check, bad, phis)
+    got, want = outcome(SlicedSequence, bad, phis), outcome(oracles.slice_check, bad, phis)
     if want is None:  # the corrupted entries are values of no base point
         assert isinstance(got, SlicedSequence)
     else:
@@ -1015,9 +699,9 @@ def first_leaf_of_first_offending_ball(seq, phis):
         upper, lower = phis[a + 1], phis[a]
         level = max(upper.level, lower.level)
         for ball in base.levels[level].points:
-            got = step(upper.quotient_map(ancestor(base, level, ball, upper.level)))
-            if got != lower.quotient_map(ancestor(base, level, ball, lower.level)):
-                return next(p for p in base.points if ancestor(base, base.depth, p, level) == ball)
+            got = step(upper.quotient_map(oracles.ancestor(base, level, ball, upper.level)))
+            if got != lower.quotient_map(oracles.ancestor(base, level, ball, lower.level)):
+                return next(p for p in base.points if oracles.ancestor(base, base.depth, p, level) == ball)
     return None
 
 
@@ -1028,7 +712,7 @@ def test_sliced_sequence_names_the_point_that_ball_order_would_misname():
         tree = shuffled_rebuild(seed, max_depth=3, max_points=12)
         phis = tuple(SliceObject(tree, a, level, identity(level)) for a, level in enumerate(tree.levels))
         bad = corrupt_steps(ball_quotients(tree), rng, 6)
-        want = outcome(old_slice_check, bad, phis)
+        want = outcome(oracles.slice_check, bad, phis)
         if want is None or want[1].endswith(repr(first_leaf_of_first_offending_ball(bad, phis))):
             continue
         misnamed += 1

@@ -73,6 +73,7 @@ _UNCALLED = {
     ("cli.py", "lift_certificate_payload"): _WRAPPED,
     ("generic.py", "lift_through_generic"): _WRAPPED,
     ("sequences.py", "apply_sequence_arrow"): _WRAPPED,
+    ("serial.py", "loads"): _WRAPPED,
     ("serial.py", "sliced_from_json"): _WRAPPED,
     ("generic.py", "brute_force_lift_oracle"): "the exhaustive cross-check a `lift` command is to run",
 }
@@ -81,23 +82,35 @@ _UNCALLED = {
 def test_every_function_has_a_caller_in_the_package():
     """Every module-level function and method is read by name somewhere in
     the package outside its own body, so code that only tests reach lives
-    under tests/.  Dunders and `main` are entry points.  The allowlist holds
-    exactly the uncalled names: an entry that gains a caller must leave it."""
+    under tests/.  A module-level function is read through its bare name or
+    as `<package module>.<name>`, so `json.loads` does not call
+    `serial.loads`; a method, through any read of its name.  Dunders and
+    `main` are entry points.  The allowlist holds exactly the uncalled
+    names: an entry that gains a caller must leave it."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
     defs, reads = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            body = node.body if isinstance(node, ast.ClassDef) else [node]
-            defs += [(path.name, d) for d in body if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            is_class = isinstance(node, ast.ClassDef)
+            body = node.body if is_class else [node]
+            defs += [(path.name, d, is_class) for d in body if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name is not None and isinstance(getattr(node, "ctx", None), ast.Load):
-                reads.append((path.name, name, node.lineno))
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                reads.append((path.name, node.id, node.lineno, True))
+            elif isinstance(node, ast.Attribute):
+                via_module = isinstance(node.value, ast.Name) and node.value.id in modules
+                reads.append((path.name, node.attr, node.lineno, via_module))
     uncalled = {
         (file, d.name)
-        for file, d in defs
+        for file, d, is_method in defs
         if d.name != "main" and not (d.name.startswith("__") and d.name.endswith("__"))
-        and not any(n == d.name and not (f == file and d.lineno <= line <= d.end_lineno) for f, n, line in reads)
+        and not any(
+            n == d.name and (is_method or reaches) and not (f == file and d.lineno <= line <= d.end_lineno)
+            for f, n, line, reaches in reads
+        )
     }
     assert uncalled == set(_UNCALLED)
 
