@@ -13,6 +13,7 @@ or FAIL line, and a FAIL exits 1.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -90,16 +91,17 @@ class RunConfig(Record):
 
 
 def _read_json(path: str):
-    # bytes, decoded here: pathlib's text layer costs more than the decode
+    # bytes, decoded here: pathlib's text layer costs more than the decode,
+    # and the bytes are dropped before the JSON decode starts
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            text = handle.read().decode()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(data.decode())
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: malformed JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
@@ -240,7 +242,7 @@ def cmd_extend(config: RunConfig) -> dict:
     dst_points = serial.label_list(data.get("dst"), "extend input: 'dst'")
     mapping = serial.label_map(data.get("map"), "extend input: 'map'")
     src_pres = presentation_from_subset(ambient, src_points)
-    dst_pres = presentation_from_subset(ambient, dst_points)
+    dst_pres = src_pres if dst_points == src_points else presentation_from_subset(ambient, dst_points)
     level_maps = extend_homeo(PartialHomeo(src_pres, dst_pres, mapping))
     payload = {
         "kind": "extension-certificate",
@@ -457,8 +459,9 @@ def _verify_embedding(sections: dict) -> list[Check]:
 def _verify_extension(sections: dict) -> list[Check]:
     checks: list[Check] = []
     ambient, mapping, tables = sections["ambient"], sections["mapping"], sections["levels"]
-    src = presentation_from_subset(ambient, sections["src_points"])
-    dst = presentation_from_subset(ambient, sections["dst_points"])
+    src_points, dst_points = sections["src_points"], sections["dst_points"]
+    src = presentation_from_subset(ambient, src_points)
+    dst = src if dst_points == src_points else presentation_from_subset(ambient, dst_points)
 
     _check(checks, "level maps are bijections", lambda: check_level_bijections(ambient, ambient, tables))
     _check(checks, "level maps commute with parents", lambda: check_level_parents(ambient, ambient, tables))
@@ -627,22 +630,35 @@ def cmd_verify(config: RunConfig) -> tuple[list[Check], int]:
     return checks, 1 if failed else 0
 
 
-def _write(path, text: str) -> None:
-    """Write ASCII text as bytes, without pathlib's text layer."""
+def _write(path: str, payload) -> None:
+    """Write `serial.dumps(payload)` to `path` piece by piece, as bytes,
+    without pathlib's text layer.  The pieces go to a new file beside
+    `path`, which then replaces it: a write that fails leaves `path` as it
+    was, and the new file is removed."""
+    temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as handle:
-            handle.write(text.encode())
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise SchemaError(f"cannot write {path}: {exc}") from None
+    try:
+        with open(fd, "wb") as handle:
+            for piece in serial.dump_pieces(payload):
+                handle.write(piece.encode())
+        os.replace(temp, path)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)  # gone already once it has replaced `path`
 
 
 def _emit(config: RunConfig, payload: dict, summary: str) -> None:
-    text = serial.dumps(payload)
     if config.out:
-        _write(config.out, text)
+        _write(config.out, payload)
         print(f"{summary} -> {config.out}")
     else:
-        sys.stdout.write(text)
+        for piece in serial.dump_pieces(payload):
+            sys.stdout.write(piece)
         print(summary, file=sys.stderr)
 
 
@@ -665,9 +681,9 @@ def cmd_demo(config: RunConfig) -> int:
         raise SchemaError(f"cannot write {out_dir}: {exc}") from None
 
     k4_path = os.path.join(out_dir, "k4.json")
-    _write(k4_path, serial.dumps(serial.tree_to_json(k4())))
+    _write(k4_path, serial.tree_to_json(k4()))
     binary_path = os.path.join(out_dir, "binary3.json")
-    _write(binary_path, serial.dumps(serial.tree_to_json(binary_tree(3))))
+    _write(binary_path, serial.tree_to_json(binary_tree(3)))
 
     embed_cfg = config.replace(
         command="embed",
@@ -684,7 +700,7 @@ def cmd_demo(config: RunConfig) -> int:
         "map": {"000": "111"},
     }
     extend_in_path = os.path.join(out_dir, "swap-input.json")
-    _write(extend_in_path, serial.dumps(extend_input))
+    _write(extend_in_path, extend_input)
     extend_cfg = config.replace(
         command="extend",
         inputs=(extend_in_path,),

@@ -435,9 +435,12 @@ def check_level_extension(
     mapping: Mapping[str, str],
     maps: Sequence[Mapping[str, str]],
 ) -> None:
-    """The level maps carry each source point's eta thread to its image's."""
+    """The mapping is onto the destination points, and the level maps carry
+    each source point's eta thread to its image's."""
     if set(mapping) != set(src.space.points):
         raise AssertionError("mapping does not cover the source points")
+    if set(mapping.values()) != set(dst.space.points):
+        raise AssertionError("mapping does not reach every destination point")
     for x, y in mapping.items():
         if tuple(maps[a][e] for a, e in enumerate(src.eta[x])) != dst.eta[y]:
             raise AssertionError(f"extension clause fails at {x!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from typing import Any, Iterator
 
 from .balltree import BallTree, NowhereDenseWitness
 from .errors import SchemaError
@@ -54,50 +54,110 @@ def label_map(data: Any, name: str) -> dict[str, str]:
     return dict(data)
 
 
-def _encode(value: Any, pad: str) -> str:
-    """`value` as `json.dumps(indent=2, sort_keys=True)` writes it, nested
-    where `pad` (a newline and the enclosing indentation) starts its lines.
+_SLICE = 512  # entries of a flat list or object per piece of `_walk`
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    Lists and string-keyed objects are joined here; all strings go through
-    the stdlib's C string encoder.  Any other value (floats, non-string
-    keys, subclasses of the JSON types) is written by the stdlib encoder
-    and re-indented: its newlines are all structural, since strings escape
-    theirs.
+
+def _scalar(value: str | int) -> str:
+    return _quote(value) if type(value) is str else int.__repr__(value)
+
+
+def _whole(value: Any, pad: str | None) -> str:
+    """A value that `_walk` does not open, in one piece: compact when `pad`
+    is None, by the stdlib encoder; else as `json.dumps(indent=2,
+    sort_keys=True)` writes it, nested where `pad` (a newline and the
+    enclosing indentation) starts its lines.
+
+    A nonempty list or string-keyed object of strings and ints is indented
+    here, every string through the stdlib's C string encoder.  Any other
+    value (floats, bools, None, non-string keys, subclasses of the JSON
+    types) is indented by the stdlib encoder and re-nested: its newlines are
+    all structural, since strings escape theirs.
+    """
+    if pad is None:
+        return _compact(value)
+    kind, inner = type(value), pad + "  "
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if kinds <= {str, int}:
+            encode = _quote if kinds == {str} else int.__repr__ if kinds == {int} else _scalar
+            return "[" + inner + ("," + inner).join(map(encode, value)) + pad + "]"
+    elif kind is dict and value and set(map(type, value)) == {str}:
+        kinds = set(map(type, value.values()))
+        if kinds <= {str, int}:
+            encode = _quote if kinds == {str} else _scalar
+            body = [_quote(k) + ": " + encode(v) for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _walk(value: Any, pad: str | None) -> Iterator[str]:
+    """`value`'s canonical JSON in pieces of bounded size: compact when
+    `pad` is None (the digest's encoding), else indented (the file's), as
+    `_whole` nests it.
+
+    A list or object is flat when its entries are strings and ints only.
+    A flat one is one piece of `_whole`, or past `_SLICE` entries one per
+    slice of that many, cut out of `_whole`'s text for the slice.  Any
+    other list, or object with string keys, is opened entry by entry.  Every
+    other value is one piece of `_whole`.
     """
     kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        kinds = set(map(type, value))
-        if kinds == {str}:
-            body = map(_quote, value)
-        elif kinds == {int}:
-            body = map(int.__repr__, value)
-        else:
-            body = [_encode(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if kind is str or kind is int:
+        yield _scalar(value)
+        return
+    entries = value if kind is list else value.values() if kind is dict else None
+    if entries is None:
+        yield _whole(value, pad)
+        return
+    if not value:
+        yield "[]" if kind is list else "{}"
+        return
+    flat = set(map(type, entries)) <= {str, int}
+    if flat and len(value) <= _SLICE:
+        yield _whole(value, pad)
+        return
+    keys = None
     if kind is dict:
-        if not value:
-            return "{}"
-        if set(map(type, value)) == {str}:
-            inner = pad + "  "
-            items = sorted(value.items())
-            if set(map(type, value.values())) == {str}:
-                body = [_quote(k) + ": " + _quote(v) for k, v in items]
+        if set(map(type, value)) != {str}:
+            yield _whole(value, pad)
+            return
+        keys = sorted(value)
+    head, tail = ("[", "]") if keys is None else ("{", "}")
+    sep, inner = ",", None if pad is None else pad + "  "
+    if inner is not None:
+        head, tail, sep = head + inner, pad + tail, sep + inner
+    yield head
+    if flat:
+        for start in range(0, len(value), _SLICE):
+            if keys is None:
+                part = value[start:start + _SLICE]
             else:
-                body = [_quote(k) + ": " + _encode(v, inner) for k, v in items]
-            return "{" + inner + ("," + inner).join(body) + pad + "}"
-    if kind is int:
-        return int.__repr__(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+                part = keys[start:start + _SLICE]
+                part = dict(zip(part, map(value.__getitem__, part)))
+            text = _whole(part, pad)
+            yield (sep if start else "") + text[len(head):len(text) - len(tail)]
+    else:
+        colon = ":" if pad is None else ": "
+        for n, item in enumerate(value if keys is None else keys):
+            if n:
+                yield sep
+            if keys is not None:
+                yield _quote(item) + colon
+                item = value[item]
+            yield from _walk(item, inner)
+    yield tail
+
+
+def dump_pieces(payload: Any) -> Iterator[str]:
+    """`dumps(payload)` in pieces of bounded size, for a writer to stream."""
+    yield from _walk(payload, "\n")
+    yield "\n"
 
 
 def dumps(payload: Any) -> str:
     """Byte for byte `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`."""
-    return _encode(payload, "\n") + "\n"
+    return "".join(dump_pieces(payload))
 
 
 def text_digest(text: str) -> str:
@@ -106,8 +166,12 @@ def text_digest(text: str) -> str:
 
 
 def content_digest(payload: dict) -> str:
-    body = {k: v for k, v in payload.items() if k != "integrity"}
-    return text_digest(json.dumps(body, sort_keys=True, separators=(",", ":")))
+    """Hex SHA-256 of the payload without `integrity`, in the compact sorted
+    encoding, fed to the hash piece by piece: the text is never held whole."""
+    digest = sha256()
+    for piece in _walk({k: v for k, v in payload.items() if k != "integrity"}, None):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def loads(text: str) -> Any:

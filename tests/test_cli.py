@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -261,6 +262,36 @@ def test_extension_fail_lines(tmp_path, swap_input_path, mutate, lines, capsys):
     assert capsys.readouterr().out.splitlines()[1:4] == lines
 
 
+def test_extension_whose_mapping_misses_a_dst_point_fails(tmp_path, capsys):
+    # the swap of binary_tree(4)'s leaves 0000 and 1111, with one more point
+    # stated in dst_points and the digest restated: no src point maps to it
+    path = tmp_path / "swap4.json"
+    path.write_text(
+        serial.dumps(
+            {
+                "ambient": serial.tree_to_json(binary_tree(4)),
+                "src": ["0000", "1111"],
+                "dst": ["0000", "1111"],
+                "map": {"0000": "1111", "1111": "0000"},
+            }
+        )
+    )
+    out = tmp_path / "ext.json"
+    assert run("extend", path, "--out", out) == 0
+    cert = json.loads(out.read_text())
+    cert["dst_points"].append("0101")
+    cert["integrity"] = serial.content_digest(cert)
+    forged = tmp_path / "forged.json"
+    forged.write_text(serial.dumps(cert))
+    capsys.readouterr()
+    assert run("verify", forged) == 1
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "PASS level maps are bijections",
+        "PASS level maps commute with parents",
+        "FAIL level maps extend the point mapping: mapping does not reach every destination point",
+    ]
+
+
 @pytest.mark.parametrize(
     "command, clause, check",
     [
@@ -501,6 +532,52 @@ def test_out_that_is_a_directory_is_a_parse_error(tmp_path, k4_path, capsys):
     assert run("embed", k4_path, "--out", out) == 2
     assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}: ")
     assert list(out.iterdir()) == []
+
+
+def test_failed_write_keeps_the_old_out_and_leaves_no_file(tmp_path, k4_path, monkeypatch, capsys):
+    # the file's second write fails as on a full disk: the command is a parse
+    # error, the --out that was there is kept, and the new file is removed
+    from ultrafraisse import cli
+
+    out = tmp_path / "cert.json"
+    out.write_bytes(b"kept\n")
+    writes = []
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.handle.write(data)
+
+    def opener(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        return FullDisk(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    capsys.readouterr()
+    assert run("embed", k4_path, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: cannot write {out}: [Errno {errno.ENOSPC}] ")
+    assert len(writes) == 2
+    assert out.read_bytes() == b"kept\n"
+    assert sorted(tmp_path.iterdir()) == sorted([k4_path, out])
+
+
+def test_stdout_holds_the_bytes_out_holds(tmp_path, k4_path, capsys):
+    out = tmp_path / "cert.json"
+    assert run("embed", k4_path, "--split", "1:p0", "--out", out) == 0
+    capsys.readouterr()
+    assert run("embed", k4_path, "--split", "1:p0") == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_demo_out_that_is_a_file_is_a_parse_error(tmp_path, capsys):

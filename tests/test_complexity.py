@@ -80,3 +80,39 @@ def test_rejected_partial_homeo_work_is_linear_in_points_times_depth():
     small, large = measure(REJECTED_HOMEO_EVENTS, 7), measure(REJECTED_HOMEO_EVENTS, 9)
     growth = (256 * 9) / (64 * 7)  # points x depth of the two subsets
     assert large <= 1.3 * growth * small, (small, large)
+
+
+CERTIFICATE_PEAKS = """\
+import os, sys, tracemalloc
+from ultrafraisse import cli, serial
+from ultrafraisse.fixtures import binary_tree
+work = sys.argv[2]
+tree = os.path.join(work, "tree.json")
+with open(tree, "w") as handle:
+    handle.write(serial.dumps(serial.tree_to_json(binary_tree(3))))
+config = cli.RunConfig(command="embed", inputs=(tree,), depth=int(sys.argv[1]),
+                       splits=("1:p0", "2:00"), out=os.path.join(work, "cert.json"))
+payload = cli.cmd_embed(config)
+peaks = []
+for step in (lambda: serial.content_digest(payload), lambda: cli._emit(config, payload, "certificate")):
+    tracemalloc.start()
+    step()
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(os.path.getsize(config.out), *peaks)
+"""
+
+
+def test_digest_and_writer_hold_no_copy_of_the_certificate(tmp_path):
+    """The digest and the writer stream a certificate: on the depth-12
+    `binary_tree(3)` embedding (about 2.7 MiB), each peaks, traced, below
+    half the file's size.  Holding its text once would take the whole size."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="0")
+    done = subprocess.run(
+        [sys.executable, "-c", CERTIFICATE_PEAKS, "12", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    size, digest_peak, write_peak = map(int, done.stdout.splitlines()[-1].split())
+    assert size > 2 * 2**20
+    assert digest_peak < size / 2 and write_peak < size / 2, (size, digest_peak, write_peak)

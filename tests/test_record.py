@@ -141,11 +141,13 @@ def test_package_import_leaves_out_dataclasses():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
-    # no command loads OpenSSL or pathlib; -S keeps site's own imports out
+    # no command loads OpenSSL, pathlib, tempfile, shutil or random: each
+    # raises the resident memory every command process starts from; -S keeps
+    # site's own imports out
     script = (
         "import sys\n"
         "import ultrafraisse.cli\n"
-        "print(sorted({'hashlib', '_hashlib', 'pathlib'} & set(sys.modules)))\n"
+        "print(sorted({'hashlib', '_hashlib', 'pathlib', 'tempfile', 'shutil', 'random'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60

@@ -57,6 +57,54 @@ def test_dumps_matches_on_nested_empty_containers():
     assert serial.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+# --- the digest's compact pieces and the file's indented ones join to the
+# stdlib's encodings, across the slice size of flat lists and objects
+
+_SIZES = st.sampled_from([0, 1, serial._SLICE - 1, serial._SLICE, serial._SLICE + 1, 2 * serial._SLICE + 3])
+
+
+@st.composite
+def _long_flat(draw):
+    """A list or string-keyed object of one of the sizes above, its entries
+    cycled from a few drawn ones: strings and ints, or now and then another
+    leaf, which makes it no longer flat.  Keys sort in another order than
+    they are inserted."""
+    size = draw(_SIZES)
+    cells = draw(st.lists(st.one_of(_strings, st.integers(), _leaves), min_size=1, max_size=3))
+    values = [cells[i % len(cells)] for i in range(size)]
+    if draw(st.booleans()):
+        return values
+    prefix = draw(_strings)
+    return {f"{prefix}{i}": v for i, v in enumerate(values)}
+
+
+_pieces_json = st.recursive(
+    st.one_of(_leaves, _long_flat()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_strings, inner, max_size=3)),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_json, _pieces_json))
+def test_pieces_join_to_the_stdlib_encodings(value):
+    compact = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert "".join(serial._walk(value, None)) == compact
+    assert serial.dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    payload = {"integrity": "stated", "value": value}
+    assert serial.content_digest(payload) == hashlib.sha256(compact.join(['{"value":', "}"]).encode()).hexdigest()
+
+
+def test_long_flat_values_are_cut_into_slices():
+    value = {
+        "labels": [f"b{i}" for i in range(3 * serial._SLICE)],
+        "map": {f"k{i}": i for i in range(serial._SLICE + 1)},
+    }
+    pieces = list(serial._walk(value, None))
+    assert max(map(len, pieces)) < len("".join(pieces)) / 3
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 # --- map validation reports what the entry-by-entry scans reported
 
 

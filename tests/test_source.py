@@ -73,6 +73,7 @@ _UNCALLED = {
     ("cli.py", "lift_certificate_payload"): _WRAPPED,
     ("generic.py", "lift_through_generic"): _WRAPPED,
     ("sequences.py", "apply_sequence_arrow"): _WRAPPED,
+    ("serial.py", "dumps"): _WRAPPED,
     ("serial.py", "loads"): _WRAPPED,
     ("serial.py", "sliced_from_json"): _WRAPPED,
     ("generic.py", "brute_force_lift_oracle"): "the exhaustive cross-check a `lift` command is to run",
